@@ -1,11 +1,11 @@
-// Quantized inference benchmark: int8 fast path vs. the fp32 predictor.
+// Quantized inference benchmark: int8 fast path vs. the fp32 net.
 //
 // Throughput leg: the Table-I net at WM_QUANT_MAP (default 64) classifies a
-// fixed wafer stream through SelectivePredictor (fp32 sgemm) and
-// QuantizedSelectivePredictor (fused i8gemm); the headline `quant_vs_fp32`
-// is the best-of-reps throughput ratio. Accuracy leg: a small net is
-// trained briefly on synthetic data, quantized, and both predictors are
-// scored on a held-out set — accuracy_delta / coverage_delta report what
+// fixed wafer stream through wm::load_classifier over the fp32 net (sgemm)
+// and over its int8 quantization (fused i8gemm); the headline
+// `quant_vs_fp32` is the best-of-reps throughput ratio. Accuracy leg: a
+// small net is trained briefly on synthetic data, quantized, and both
+// classifiers are scored on a held-out set — accuracy_delta / coverage_delta report what
 // int8 costs in model quality (CI fails the Release smoke when the
 // accuracy delta exceeds 1%).
 //
@@ -55,9 +55,8 @@ std::vector<WaferMap> make_stream(int map_size, int n) {
   return maps;
 }
 
-template <typename Predictor>
 std::vector<RunResult> time_predictor(const char* mode,
-                                      const Predictor& predictor,
+                                      const Classifier& predictor,
                                       const std::vector<WaferMap>& stream,
                                       int reps) {
   predictor.predict_batch(stream);  // warm up allocators and the pool

@@ -1,6 +1,5 @@
 #include "common/threadpool.hpp"
 
-#include <atomic>
 #include <exception>
 #include <memory>
 #include <string>
@@ -91,9 +90,9 @@ void ThreadPool::parallel_chunks(
   const std::size_t chunks = chunk_count(n);
   const std::size_t chunk_size = (n + chunks - 1) / chunks;
 
-  std::atomic<std::size_t> remaining(chunks);
   std::exception_ptr first_error;
   std::mutex error_mutex;
+  std::size_t remaining = chunks;  // guarded by done_mutex
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
@@ -106,10 +105,11 @@ void ThreadPool::parallel_chunks(
       const std::lock_guard<std::mutex> lock(error_mutex);
       if (!first_error) first_error = std::current_exception();
     }
-    if (remaining.fetch_sub(1) == 1) {
-      const std::lock_guard<std::mutex> lock(done_mutex);
-      done_cv.notify_one();
-    }
+    // Decrement and notify under done_mutex: the caller returns (and
+    // destroys these stack-local sync objects) as soon as it sees 0, so no
+    // worker may touch them after its decrement becomes visible.
+    const std::lock_guard<std::mutex> lock(done_mutex);
+    if (--remaining == 0) done_cv.notify_one();
   };
 
   {
@@ -123,7 +123,7 @@ void ThreadPool::parallel_chunks(
 
   {
     std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&] { return remaining.load() == 0; });
+    done_cv.wait(lock, [&] { return remaining == 0; });
   }
   if (first_error) std::rethrow_exception(first_error);
 }

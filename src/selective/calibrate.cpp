@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "selective/load_classifier.hpp"
 
 namespace wm::selective {
 
@@ -36,11 +37,11 @@ double coverage_at(std::span<const float> g_scores, float tau) {
 }
 
 float calibrate_threshold(const SelectiveNet& net, const Dataset& validation,
-                          double target_coverage, int eval_batch) {
+                          double target_coverage) {
   WM_CHECK(!validation.empty(), "empty calibration set");
 
-  SelectivePredictor predictor(net, /*threshold=*/0.0f, eval_batch);
-  const auto preds = predict_dataset(predictor, validation);
+  const auto preds =
+      predict_dataset(*load_classifier(net, {.threshold = 0.0f}), validation);
   std::vector<float> gs(preds.size());
   for (std::size_t i = 0; i < preds.size(); ++i) gs[i] = preds[i].g;
   return refit_threshold(gs, target_coverage);

@@ -11,7 +11,8 @@
 
 #include <span>
 
-#include "selective/predictor.hpp"
+#include "selective/selective_net.hpp"
+#include "wafermap/dataset.hpp"
 
 namespace wm::selective {
 
@@ -19,7 +20,7 @@ namespace wm::selective {
 /// yields coverage closest to (and at least) `target_coverage` where
 /// achievable. target_coverage in (0, 1].
 float calibrate_threshold(const SelectiveNet& net, const Dataset& validation,
-                          double target_coverage, int eval_batch = 256);
+                          double target_coverage);
 
 /// Re-fits the abstention threshold from raw selection scores so that the
 /// top `target_coverage` fraction stays selected: tau is cut just below the

@@ -1,97 +1,109 @@
 #include "selective/load_classifier.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/threadpool.hpp"
 #include "selective/model_file.hpp"
-#include "selective/predictor.hpp"
-#include "selective/quant_predictor.hpp"
+#include "tensor/tensor_ops.hpp"
 
 namespace wm {
 
 namespace {
 
-/// Owning-or-borrowing wrapper over the fp32 predictor. `owned` is null for
-/// the in-memory overload; the predictor always references the live net.
-class Fp32Classifier final : public LoadedClassifier {
- public:
-  Fp32Classifier(std::unique_ptr<selective::SelectiveNet> owned,
-                 const selective::SelectiveNet& net,
-                 const ClassifierLoadOptions& opts)
-      : owned_(std::move(owned)),
-        predictor_(net, opts.threshold, opts.eval_batch),
-        map_size_(static_cast<int>(net.options().map_size)) {}
-
-  std::vector<SelectivePrediction> predict_batch(
-      std::span<const WaferMap> maps) const override {
-    return predictor_.predict_batch(maps);
-  }
-  int num_classes() const override { return predictor_.num_classes(); }
-  int map_size() const override { return map_size_; }
-  bool is_quantized() const override { return false; }
-  float threshold() const override { return predictor_.threshold(); }
-
- private:
-  std::unique_ptr<selective::SelectiveNet> owned_;
-  selective::SelectivePredictor predictor_;
-  int map_size_;
-};
-
-class QuantClassifier final : public LoadedClassifier {
- public:
-  QuantClassifier(std::unique_ptr<selective::QuantizedSelectiveNet> owned,
-                  const selective::QuantizedSelectiveNet& net,
-                  const ClassifierLoadOptions& opts)
-      : owned_(std::move(owned)),
-        predictor_(net, opts.threshold, opts.eval_batch),
-        map_size_(static_cast<int>(net.options().map_size)) {}
-
-  std::vector<SelectivePrediction> predict_batch(
-      std::span<const WaferMap> maps) const override {
-    return predictor_.predict_batch(maps);
-  }
-  int num_classes() const override { return predictor_.num_classes(); }
-  int map_size() const override { return map_size_; }
-  bool is_quantized() const override { return true; }
-  float threshold() const override { return predictor_.threshold(); }
-
- private:
-  std::unique_ptr<selective::QuantizedSelectiveNet> owned_;
-  selective::QuantizedSelectivePredictor predictor_;
-  int map_size_;
-};
+/// Wafers per forward inside predict_batch. Fixed, so batch composition (and
+/// with it every output bit) never depends on the caller or the thread count.
+constexpr std::size_t kEvalBatch = 256;
 
 }  // namespace
+
+LoadedClassifier::LoadedClassifier(Net net, std::shared_ptr<const void> owner,
+                                   const ClassifierLoadOptions& opts)
+    : net_(net), owner_(std::move(owner)), threshold_(opts.threshold) {
+  WM_CHECK(!std::isnan(threshold_) && threshold_ >= 0.0f && threshold_ <= 1.0f,
+           "threshold out of [0,1]");
+}
+
+const selective::SelectiveNetOptions& LoadedClassifier::options() const {
+  return std::visit(
+      [](const auto* net) -> const selective::SelectiveNetOptions& {
+        return net->options();
+      },
+      net_);
+}
+
+std::vector<SelectivePrediction> LoadedClassifier::predict_batch(
+    std::span<const WaferMap> maps) const {
+  const int s = map_size();
+  const std::int64_t image_elems = static_cast<std::int64_t>(s) * s;
+  const std::size_t n_batches = (maps.size() + kEvalBatch - 1) / kEvalBatch;
+  std::vector<SelectivePrediction> all(maps.size());
+  ThreadPool::global().parallel_for(0, n_batches, [&](std::size_t b) {
+    const std::size_t start = b * kEvalBatch;
+    const std::size_t end = std::min(maps.size(), start + kEvalBatch);
+    const std::int64_t n = static_cast<std::int64_t>(end - start);
+    Tensor images(Shape{n, 1, s, s});
+    for (std::int64_t k = 0; k < n; ++k) {
+      const WaferMap& map = maps[start + static_cast<std::size_t>(k)];
+      WM_CHECK_SHAPE(map.size() == s, "wafer size ", map.size(),
+                     " does not match the net's map size ", s);
+      const Tensor img = map.to_tensor();
+      std::memcpy(images.data() + k * image_elems, img.data(),
+                  static_cast<std::size_t>(image_elems) * sizeof(float));
+    }
+    const selective::SelectiveOutput out = std::visit(
+        [&images](const auto* net) { return net->infer(images); }, net_);
+    const Tensor probs = softmax_rows(out.logits);
+    const auto arg = argmax_rows(out.logits);
+    const std::int64_t nc = out.logits.dim(1);
+    for (std::size_t i = 0; i < arg.size(); ++i) {
+      SelectivePrediction& p = all[start + i];
+      const float g = out.g[static_cast<std::int64_t>(i)];
+      p.label = static_cast<int>(arg[i]);
+      p.g = g;
+      p.selected = g >= threshold_;
+      p.confidence = probs[static_cast<std::int64_t>(i) * nc + arg[i]];
+    }
+  });
+  return all;
+}
 
 std::unique_ptr<LoadedClassifier> load_classifier(
     const std::string& path, const ClassifierLoadOptions& opts) {
   if (selective::probe_model_file(path) == selective::ModelFileKind::kFloat) {
-    auto net = selective::load_model(path);
-    const selective::SelectiveNet& ref = *net;
-    return std::make_unique<Fp32Classifier>(std::move(net), ref, opts);
+    return load_classifier(selective::load_model(path), opts);
   }
-  auto net = selective::load_quantized_model(path);
-  const selective::QuantizedSelectiveNet& ref = *net;
-  return std::make_unique<QuantClassifier>(std::move(net), ref, opts);
+  std::shared_ptr<const selective::QuantizedSelectiveNet> net =
+      selective::load_quantized_model(path);
+  const selective::QuantizedSelectiveNet* ref = net.get();
+  return std::unique_ptr<LoadedClassifier>(
+      new LoadedClassifier(ref, std::move(net), opts));
 }
 
 std::unique_ptr<LoadedClassifier> load_classifier(
     const selective::SelectiveNet& net, const ClassifierLoadOptions& opts) {
-  return std::make_unique<Fp32Classifier>(nullptr, net, opts);
+  return std::unique_ptr<LoadedClassifier>(
+      new LoadedClassifier(&net, nullptr, opts));
 }
 
 std::unique_ptr<LoadedClassifier> load_classifier(
     std::unique_ptr<selective::SelectiveNet> net,
     const ClassifierLoadOptions& opts) {
   WM_CHECK(net != nullptr, "load_classifier: null net");
-  const selective::SelectiveNet& ref = *net;
-  return std::make_unique<Fp32Classifier>(std::move(net), ref, opts);
+  std::shared_ptr<const selective::SelectiveNet> owned = std::move(net);
+  const selective::SelectiveNet* ref = owned.get();
+  return std::unique_ptr<LoadedClassifier>(
+      new LoadedClassifier(ref, std::move(owned), opts));
 }
 
 std::unique_ptr<LoadedClassifier> load_classifier(
     const selective::QuantizedSelectiveNet& net,
     const ClassifierLoadOptions& opts) {
-  return std::make_unique<QuantClassifier>(nullptr, net, opts);
+  return std::unique_ptr<LoadedClassifier>(
+      new LoadedClassifier(&net, nullptr, opts));
 }
 
 }  // namespace wm

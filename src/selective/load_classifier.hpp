@@ -1,30 +1,28 @@
-// The unified classifier-loading API: one factory, wm::load_classifier,
-// behind which every construction path in the repo lives.
+// The selective classifier (f, g, tau) of Eq. 2 and its one factory,
+// wm::load_classifier: predict f(x) when g(x) >= tau, abstain otherwise.
 //
 //   auto clf = wm::load_classifier("model.wsn", {.threshold = 0.7f});
 //   engine = serve::InferenceEngine(*clf, ...);
 //
 // The file overload probes the artifact version (WSN1 fp32 / WSN2 int8 via
-// selective::probe_model_file) and returns the matching implementation —
-// callers never dispatch on the format themselves. The in-memory overloads
-// wrap an already-constructed net (no file involved) behind the same
-// interface, so examples and benches that train a model in-process use the
-// identical vocabulary as the tools that load one from disk.
+// selective::probe_model_file) and loads the matching net — callers never
+// dispatch on the format themselves. The in-memory overloads wrap an
+// already-constructed net (no file involved) behind the same class, so
+// examples and benches that train a model in-process use the identical
+// vocabulary as the tools that load one from disk.
 //
-// The returned LoadedClassifier IS-A wm::Classifier (drop it into the
-// inference engine, the TCP server, the hot-swap wrapper, the router fleet)
-// and additionally reports the artifact metadata serving paths need:
-// the wafer edge the model expects, whether the int8 fast path is active,
-// and the abstention threshold it was built with.
-//
-// Direct construction of SelectivePredictor / QuantizedSelectivePredictor
-// in tools, examples and benches is deprecated in favour of this factory;
-// the concrete predictors remain public for library code and tests that
-// need the narrower types.
+// Precision is a property of the artifact, not of the classifier: one
+// LoadedClassifier holds exactly one net, fp32 or int8, and runs the same
+// batching and selection over either. It IS-A wm::Classifier (drop it into
+// the inference engine, the TCP server, the hot-swap wrapper, the router
+// fleet) and additionally reports the artifact metadata serving paths need:
+// the wafer edge the model expects, whether the int8 net is active, and the
+// abstention threshold it was built with.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <variant>
 
 #include "selective/quant_net.hpp"
 #include "selective/selective_net.hpp"
@@ -34,22 +32,11 @@ namespace wm {
 
 struct ClassifierLoadOptions {
   /// Abstention cut on g (Eq. 2); 0.5 matches the trained sigmoid boundary.
+  /// Must lie in [0, 1]; checked.
   float threshold = 0.5f;
-  /// Upper bound on the per-forward micro-batch inside the predictor.
-  int eval_batch = 256;
 };
 
-/// A Classifier that carries its backing model (owned when loaded from a
-/// file, borrowed for the in-memory overloads) plus artifact metadata.
-class LoadedClassifier : public Classifier {
- public:
-  /// Wafer edge length the model was trained for (resize inputs to this).
-  virtual int map_size() const = 0;
-  /// True when the int8 (WSN2) fast path serves the predictions.
-  virtual bool is_quantized() const = 0;
-  /// The abstention threshold the classifier applies to g.
-  virtual float threshold() const = 0;
-};
+class LoadedClassifier;
 
 /// Loads a model file of either version (WSN1 fp32 / WSN2 quantized),
 /// dispatching on the header, and returns it behind the classifier
@@ -74,5 +61,54 @@ std::unique_ptr<LoadedClassifier> load_classifier(
 std::unique_ptr<LoadedClassifier> load_classifier(
     const selective::QuantizedSelectiveNet& net,
     const ClassifierLoadOptions& opts = {});
+
+/// A selective classifier over one fp32 or int8 net, owned (file loads and
+/// the owning overload) or borrowed (the other in-memory overloads).
+///
+/// predict_batch chops the request into fixed-size eval batches of 256
+/// wafers, which bounds per-forward memory, and fans the batches across the
+/// global pool. Both nets' infer() are const and reentrant with per-sample
+/// outputs independent of batch grouping, and batch composition depends
+/// only on that fixed size, so results are bit-identical for any thread
+/// count and any caller-side regrouping.
+class LoadedClassifier final : public Classifier {
+ public:
+  std::vector<SelectivePrediction> predict_batch(
+      std::span<const WaferMap> maps) const override;
+
+  int num_classes() const override { return options().num_classes; }
+
+  /// Wafer edge length the model was trained for (resize inputs to this).
+  int map_size() const { return options().map_size; }
+  /// True when the int8 (WSN2) net serves the predictions.
+  bool is_quantized() const {
+    return std::holds_alternative<const selective::QuantizedSelectiveNet*>(
+        net_);
+  }
+  /// The abstention threshold the classifier applies to g.
+  float threshold() const { return threshold_; }
+
+ private:
+  using Net = std::variant<const selective::SelectiveNet*,
+                           const selective::QuantizedSelectiveNet*>;
+
+  LoadedClassifier(Net net, std::shared_ptr<const void> owner,
+                   const ClassifierLoadOptions& opts);
+
+  const selective::SelectiveNetOptions& options() const;
+
+  friend std::unique_ptr<LoadedClassifier> load_classifier(
+      const std::string&, const ClassifierLoadOptions&);
+  friend std::unique_ptr<LoadedClassifier> load_classifier(
+      const selective::SelectiveNet&, const ClassifierLoadOptions&);
+  friend std::unique_ptr<LoadedClassifier> load_classifier(
+      std::unique_ptr<selective::SelectiveNet>, const ClassifierLoadOptions&);
+  friend std::unique_ptr<LoadedClassifier> load_classifier(
+      const selective::QuantizedSelectiveNet&, const ClassifierLoadOptions&);
+
+  Net net_;                            // never null
+  std::shared_ptr<const void> owner_;  // the owned net; null when borrowed
+  float threshold_;
+};
 
 }  // namespace wm

@@ -128,7 +128,7 @@ std::unique_ptr<SelectiveNet> load_model(const std::string& path) {
   if (!in) throw IoError("cannot open model file for reading: " + path);
   if (read_version(in, path) != '1') {
     throw IoError(path + " is a quantized model (WSN2); load it with "
-                  "load_quantized_model or load_model_auto");
+                  "load_quantized_model or wm::load_classifier");
   }
   const SelectiveNetOptions o = read_options(in);
   // Weight init is immediately overwritten; any seed works.
@@ -209,23 +209,6 @@ ModelFileKind probe_model_file(const std::string& path) {
   if (!in) throw IoError("cannot open model file for reading: " + path);
   return read_version(in, path) == '1' ? ModelFileKind::kFloat
                                        : ModelFileKind::kQuantized;
-}
-
-LoadedModel load_model_auto(const std::string& path, float threshold,
-                            int eval_batch) {
-  LoadedModel m;
-  if (probe_model_file(path) == ModelFileKind::kFloat) {
-    m.fp32 = load_model(path);
-    m.map_size = m.fp32->options().map_size;
-    m.predictor = std::make_unique<SelectivePredictor>(*m.fp32, threshold,
-                                                       eval_batch);
-  } else {
-    m.quantized = load_quantized_model(path);
-    m.map_size = m.quantized->options().map_size;
-    m.predictor = std::make_unique<QuantizedSelectivePredictor>(
-        *m.quantized, threshold, eval_batch);
-  }
-  return m;
 }
 
 }  // namespace wm::selective

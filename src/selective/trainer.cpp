@@ -1,7 +1,6 @@
 #include "selective/trainer.hpp"
 
 #include <cmath>
-#include <numeric>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -12,7 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/run_log.hpp"
 #include "obs/trace.hpp"
-#include "tensor/tensor_ops.hpp"
+#include "selective/load_classifier.hpp"
 
 namespace wm::selective {
 
@@ -198,25 +197,10 @@ TrainingLog SelectiveTrainer::fine_tune(SelectiveNet& net,
   return log;
 }
 
-double argmax_accuracy(SelectiveNet& net, const Dataset& data, int eval_batch) {
-  WM_CHECK(!data.empty(), "accuracy on empty dataset");
-  WM_CHECK(eval_batch > 0, "bad eval batch size");
-  std::size_t correct = 0;
-  std::vector<std::size_t> indices;
-  for (std::size_t start = 0; start < data.size();
-       start += static_cast<std::size_t>(eval_batch)) {
-    const std::size_t end =
-        std::min(data.size(), start + static_cast<std::size_t>(eval_batch));
-    indices.resize(end - start);
-    std::iota(indices.begin(), indices.end(), start);
-    const Batch batch = data.make_batch(indices);
-    const SelectiveOutput out = net.forward(batch.images, /*training=*/false);
-    const auto preds = argmax_rows(out.logits);
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-      correct += (static_cast<int>(preds[i]) == batch.labels[i]);
-    }
-  }
-  return static_cast<double>(correct) / static_cast<double>(data.size());
+double argmax_accuracy(const SelectiveNet& net, const Dataset& data) {
+  std::vector<int> labels(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) labels[i] = static_cast<int>(data[i].label);
+  return full_accuracy(predict_dataset(*load_classifier(net), data), labels);
 }
 
 }  // namespace wm::selective

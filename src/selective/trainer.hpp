@@ -87,7 +87,6 @@ class SelectiveTrainer {
 };
 
 /// Full-coverage argmax accuracy of the prediction head on a dataset.
-double argmax_accuracy(SelectiveNet& net, const Dataset& data,
-                       int eval_batch = 256);
+double argmax_accuracy(const SelectiveNet& net, const Dataset& data);
 
 }  // namespace wm::selective

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -13,7 +16,9 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   std::string path_ =
-      (std::filesystem::temp_directory_path() / "wm_csv_test.csv").string();
+      (std::filesystem::temp_directory_path() /
+       ("wm_csv_test_" + std::to_string(::getpid()) + ".csv"))
+          .string();
 
   void TearDown() override { std::remove(path_.c_str()); }
 };

@@ -77,6 +77,32 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+// Overwrites the stack below the caller, where the frame of the
+// parallel_for that just returned (and its done mutex) lived.
+__attribute__((noinline)) void clobber_dead_frame() {
+  volatile unsigned char junk[2048];
+  for (auto& b : junk) b = 0xA5;
+}
+
+// Regression test: the last worker of a region used to decrement the
+// completion count before locking the caller's stack-local done mutex, so
+// the caller could return while the worker was about to lock that mutex.
+// Clobbering the dead frame after every region turns such a late lock into
+// an abort in pthread_mutex_lock or a hang instead of a silent overlap
+// with the next region's mutex. The window is narrow: tens of thousands of
+// tiny back-to-back regions make it likely, and TSan reports it directly.
+TEST(ThreadPoolTest, TinyRegionsInTightLoopFinishCleanly) {
+  ThreadPool pool(3);
+  std::size_t total = 0;
+  for (int round = 0; round < 50000; ++round) {
+    std::atomic<int> count{0};
+    pool.parallel_for(0, 4, [&](std::size_t) { count++; });
+    clobber_dead_frame();
+    total += static_cast<std::size_t>(count.load());
+  }
+  EXPECT_EQ(total, std::size_t{200000});
+}
+
 TEST(ThreadPoolTest, ParallelChunksPartitionsRange) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.max_chunks(), 4u);

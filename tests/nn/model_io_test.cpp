@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -65,7 +68,8 @@ TEST(ModelIoTest, BadMagicThrows) {
 }
 
 TEST(ModelIoTest, FileRoundTrip) {
-  const std::string path = "/tmp/wm_model_io_test.ckpt";
+  const std::string path =
+      "/tmp/wm_model_io_test_" + std::to_string(::getpid()) + ".ckpt";
   Sequential a = make_net(7);
   Sequential b = make_net(8);
   save_checkpoint(path, a.parameters());

@@ -2,8 +2,11 @@
 // reduced-epoch-budget configuration; DESIGN.md §1).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <string>
+
 #include "common/rng.hpp"
-#include "selective/predictor.hpp"
 #include "selective/trainer.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "wafermap/synth/generator.hpp"
@@ -83,7 +86,8 @@ TEST(BatchNormNetTest, InferenceIsDeterministicAfterTraining) {
 }
 
 TEST(BatchNormNetTest, CheckpointRoundTripIncludesBnParams) {
-  const std::string path = "/tmp/wm_bn_net_test.ckpt";
+  const std::string path =
+      "/tmp/wm_bn_net_test_" + std::to_string(::getpid()) + ".ckpt";
   Rng rng(5);
   SelectiveNet a(bn_net(), rng);
   SelectiveNet b(bn_net(), rng);

@@ -40,7 +40,7 @@ TEST_F(ModelFileTest, RoundTripPreservesOptionsAndWeights) {
   EXPECT_EQ(loaded->parameter_count(), net.parameter_count());
 }
 
-TEST_F(ModelFileTest, LoadedModelInfersIdentically) {
+TEST_F(ModelFileTest, ReloadedModelInfersIdentically) {
   // Train briefly so BatchNorm running stats are non-trivial, then compare
   // inference-mode outputs of the original and the reloaded model.
   Rng rng(2);
@@ -157,17 +157,15 @@ TEST_F(ModelFileTest, TruncatedQuantizedFileThrows) {
   }
 }
 
-TEST_F(ModelFileTest, ZeroByteFileThrowsOnProbeAndAutoLoad) {
+TEST_F(ModelFileTest, ZeroByteFileThrowsOnProbe) {
   { std::ofstream out(path_, std::ios::binary | std::ios::trunc); }
   EXPECT_THROW(probe_model_file(path_), IoError);
-  EXPECT_THROW(load_model_auto(path_, 0.5f), IoError);
 }
 
 TEST_F(ModelFileTest, DirectoryPathThrowsNotCrashes) {
-  // A directory opens readably on POSIX but every read fails; both entry
-  // points must surface that as IoError, not garbage or a crash.
+  // A directory opens readably on POSIX but every read fails; the probe
+  // must surface that as IoError, not garbage or a crash.
   EXPECT_THROW(probe_model_file("/tmp"), IoError);
-  EXPECT_THROW(load_model_auto("/tmp", 0.5f), IoError);
 }
 
 TEST_F(ModelFileTest, FileShorterThanHeaderThrows) {
@@ -176,7 +174,6 @@ TEST_F(ModelFileTest, FileShorterThanHeaderThrows) {
     out.write("WS", 2);  // shorter than the magic+version header
   }
   EXPECT_THROW(probe_model_file(path_), IoError);
-  EXPECT_THROW(load_model_auto(path_, 0.5f), IoError);
 }
 
 }  // namespace

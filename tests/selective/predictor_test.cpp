@@ -1,5 +1,9 @@
-#include "selective/predictor.hpp"
+// Selective prediction (Eq. 2) through wm::LoadedClassifier over an fp32
+// net: output fields, the threshold's edge values, batching invariance,
+// argument checks, the metric helpers and threshold calibration.
+#include "selective/load_classifier.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -36,8 +40,8 @@ TEST(PredictorTest, PredictionFieldsPopulated) {
   Rng rng(1);
   SelectiveNet net(tiny_net(), rng);
   const Dataset data = small_dataset(2);
-  SelectivePredictor predictor(net, 0.5f);
-  const auto preds = predict_dataset(predictor, data);
+  const auto predictor = load_classifier(net, {.threshold = 0.5f});
+  const auto preds = predict_dataset(*predictor, data);
   ASSERT_EQ(preds.size(), data.size());
   for (const auto& p : preds) {
     EXPECT_GE(p.label, 0);
@@ -54,30 +58,36 @@ TEST(PredictorTest, ThresholdZeroSelectsAll) {
   Rng rng(2);
   SelectiveNet net(tiny_net(), rng);
   const Dataset data = small_dataset(3);
-  SelectivePredictor predictor(net, 0.0f);
-  EXPECT_DOUBLE_EQ(coverage_of(predict_dataset(predictor, data)), 1.0);
+  const auto predictor = load_classifier(net, {.threshold = 0.0f});
+  EXPECT_DOUBLE_EQ(coverage_of(predict_dataset(*predictor, data)), 1.0);
 }
 
 TEST(PredictorTest, ThresholdOneSelectsNone) {
   Rng rng(3);
   SelectiveNet net(tiny_net(), rng);
   const Dataset data = small_dataset(4);
-  SelectivePredictor predictor(net, 1.0f);
-  EXPECT_DOUBLE_EQ(coverage_of(predict_dataset(predictor, data)), 0.0);
+  const auto predictor = load_classifier(net, {.threshold = 1.0f});
+  EXPECT_DOUBLE_EQ(coverage_of(predict_dataset(*predictor, data)), 0.0);
 }
 
 TEST(PredictorTest, BatchedAndWholeSetAgree) {
   Rng rng(4);
   SelectiveNet net(tiny_net(), rng);
   const auto maps = maps_of(small_dataset(5, 4));
-  SelectivePredictor small_batches(net, 0.5f, /*eval_batch=*/7);
-  SelectivePredictor one_batch(net, 0.5f, /*eval_batch=*/4096);
-  const auto a = small_batches.predict_batch(maps);
-  const auto b = one_batch.predict_batch(maps);
+  const auto predictor = load_classifier(net, {.threshold = 0.5f});
+  // Caller-side chunks of 7 against one call over the whole set.
+  const std::span<const WaferMap> all(maps);
+  std::vector<SelectivePrediction> a;
+  for (std::size_t s = 0; s < all.size(); s += 7) {
+    const auto part = predictor->predict_batch(
+        all.subspan(s, std::min<std::size_t>(7, all.size() - s)));
+    a.insert(a.end(), part.begin(), part.end());
+  }
+  const auto b = predictor->predict_batch(maps);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].label, b[i].label);
-    EXPECT_NEAR(a[i].g, b[i].g, 1e-6f);
+    EXPECT_EQ(a[i].g, b[i].g);
   }
 }
 
@@ -85,9 +95,9 @@ TEST(PredictorTest, PredictOneMatchesBatch) {
   Rng rng(5);
   SelectiveNet net(tiny_net(), rng);
   const Dataset data = small_dataset(6, 2);
-  SelectivePredictor predictor(net, 0.5f);
-  const auto preds = predict_dataset(predictor, data);
-  const auto single = predictor.predict_one(data[3].map);
+  const auto predictor = load_classifier(net, {.threshold = 0.5f});
+  const auto preds = predict_dataset(*predictor, data);
+  const auto single = predictor->predict_one(data[3].map);
   EXPECT_EQ(single.label, preds[3].label);
   EXPECT_NEAR(single.g, preds[3].g, 1e-6f);
 }
@@ -95,15 +105,15 @@ TEST(PredictorTest, PredictOneMatchesBatch) {
 TEST(PredictorTest, EmptySpanYieldsNoPredictions) {
   Rng rng(5);
   SelectiveNet net(tiny_net(), rng);
-  SelectivePredictor predictor(net, 0.5f);
-  EXPECT_TRUE(predictor.predict_batch({}).empty());
+  const auto predictor = load_classifier(net, {.threshold = 0.5f});
+  EXPECT_TRUE(predictor->predict_batch({}).empty());
 }
 
 TEST(PredictorTest, RejectsMismatchedMapSize) {
   Rng rng(5);
   SelectiveNet net(tiny_net(), rng);  // 16x16 net
-  SelectivePredictor predictor(net, 0.5f);
-  EXPECT_THROW(predictor.predict_one(WaferMap(24)), ShapeError);
+  const auto predictor = load_classifier(net, {.threshold = 0.5f});
+  EXPECT_THROW(predictor->predict_one(WaferMap(24)), ShapeError);
 }
 
 TEST(PredictorTest, MetricsComputedCorrectly) {
@@ -129,16 +139,11 @@ TEST(PredictorTest, EmptySelectionConvention) {
 TEST(PredictorTest, RejectsBadArguments) {
   Rng rng(6);
   SelectiveNet net(tiny_net(), rng);
-  EXPECT_THROW(SelectivePredictor(net, -0.1f), InvalidArgument);
-  EXPECT_THROW(SelectivePredictor(net, 1.1f), InvalidArgument);
-  EXPECT_THROW(SelectivePredictor(net, 0.5f, 0), InvalidArgument);
-  EXPECT_THROW(SelectivePredictor(net, 0.5f, -3), InvalidArgument);
+  EXPECT_THROW(load_classifier(net, {.threshold = -0.1f}), InvalidArgument);
+  EXPECT_THROW(load_classifier(net, {.threshold = 1.1f}), InvalidArgument);
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_THROW(SelectivePredictor(net, nan), InvalidArgument);
-  SelectivePredictor p(net);
-  EXPECT_THROW(p.set_threshold(2.0f), InvalidArgument);
-  EXPECT_THROW(p.set_threshold(nan), InvalidArgument);
-  EXPECT_EQ(p.threshold(), 0.5f);  // unchanged by the rejected calls
+  EXPECT_THROW(load_classifier(net, {.threshold = nan}), InvalidArgument);
+  EXPECT_EQ(load_classifier(net)->threshold(), 0.5f);  // the default
   EXPECT_THROW(selective_accuracy({}, {0}), InvalidArgument);
 }
 
@@ -148,8 +153,8 @@ TEST(CalibrateTest, HitsRequestedCoverage) {
   const Dataset data = small_dataset(8, 10);  // 90 samples
   for (double target : {0.2, 0.5, 0.9}) {
     const float tau = calibrate_threshold(net, data, target);
-    SelectivePredictor predictor(net, tau);
-    const double cov = coverage_of(predict_dataset(predictor, data));
+    const auto predictor = load_classifier(net, {.threshold = tau});
+    const double cov = coverage_of(predict_dataset(*predictor, data));
     EXPECT_NEAR(cov, target, 0.06) << "target " << target;
     EXPECT_GE(cov, target - 1e-9) << "target " << target;
   }
@@ -160,8 +165,8 @@ TEST(CalibrateTest, FullCoverageThresholdSelectsEverything) {
   SelectiveNet net(tiny_net(), rng);
   const Dataset data = small_dataset(9, 4);
   const float tau = calibrate_threshold(net, data, 1.0);
-  SelectivePredictor predictor(net, tau);
-  EXPECT_DOUBLE_EQ(coverage_of(predict_dataset(predictor, data)), 1.0);
+  const auto predictor = load_classifier(net, {.threshold = tau});
+  EXPECT_DOUBLE_EQ(coverage_of(predict_dataset(*predictor, data)), 1.0);
 }
 
 TEST(CalibrateTest, RejectsBadInputs) {

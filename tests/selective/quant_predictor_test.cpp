@@ -1,4 +1,7 @@
-#include "selective/quant_predictor.hpp"
+// Selective prediction through wm::LoadedClassifier over the int8 net:
+// quality against fp32, the Classifier interface, batching and thread-count
+// invariance, and WSN2 file round trips.
+#include "selective/load_classifier.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +16,6 @@
 #include "common/threadpool.hpp"
 #include "selective/calibrate.hpp"
 #include "selective/model_file.hpp"
-#include "selective/predictor.hpp"
 #include "selective/quant_net.hpp"
 #include "selective/trainer.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -80,10 +82,10 @@ TEST_F(QuantPredictorTest, AccuracyAndCoverageTrackFp32) {
   // The ISSUE acceptance bar: at the same calibrated threshold, quantized
   // top-1 accuracy within 1% absolute and coverage within 2% of fp32.
   const float tau = calibrate_threshold(*net_, *data_, 0.8);
-  SelectivePredictor fp32(*net_, tau);
-  QuantizedSelectivePredictor quant(*qnet_, tau);
-  const auto pf = predict_dataset(fp32, *eval_);
-  const auto pq = predict_dataset(quant, *eval_);
+  const auto fp32 = load_classifier(*net_, {.threshold = tau});
+  const auto quant = load_classifier(*qnet_, {.threshold = tau});
+  const auto pf = predict_dataset(*fp32, *eval_);
+  const auto pq = predict_dataset(*quant, *eval_);
   const auto y = labels_of(*eval_);
   EXPECT_NEAR(full_accuracy(pq, y), full_accuracy(pf, y), 0.01);
   EXPECT_NEAR(coverage_of(pq), coverage_of(pf), 0.02);
@@ -91,8 +93,8 @@ TEST_F(QuantPredictorTest, AccuracyAndCoverageTrackFp32) {
 }
 
 TEST_F(QuantPredictorTest, ImplementsClassifierInterface) {
-  QuantizedSelectivePredictor quant(*qnet_, 0.5f);
-  const Classifier& c = quant;
+  const auto quant = load_classifier(*qnet_, {.threshold = 0.5f});
+  const Classifier& c = *quant;
   EXPECT_EQ(c.num_classes(), 9);
   const auto p = c.predict_one((*data_)[0].map);
   EXPECT_GE(p.label, 0);
@@ -103,15 +105,19 @@ TEST_F(QuantPredictorTest, ImplementsClassifierInterface) {
 }
 
 TEST_F(QuantPredictorTest, BatchCompositionDoesNotChangeResults) {
-  QuantizedSelectivePredictor quant(*qnet_, 0.5f, /*eval_batch=*/16);
-  const auto all = quant.predict_batch(
+  const auto quant = load_classifier(*qnet_, {.threshold = 0.5f});
+  const auto all = quant->predict_batch(
       std::span<const WaferMap>(&(*data_)[0].map, 0));
   EXPECT_TRUE(all.empty());
+  // 270 wafers: the call splits at the fixed 256-wafer eval batch, so the
+  // batched side covers a full and a partial forward.
   std::vector<WaferMap> maps;
-  for (std::size_t i = 0; i < 20; ++i) maps.push_back((*data_)[i].map);
-  const auto batched = quant.predict_batch(maps);
+  for (std::size_t i = 0; i < eval_->size(); ++i) {
+    maps.push_back((*eval_)[i].map);
+  }
+  const auto batched = quant->predict_batch(maps);
   for (std::size_t i = 0; i < maps.size(); ++i) {
-    const auto one = quant.predict_one(maps[i]);
+    const auto one = quant->predict_one(maps[i]);
     ASSERT_EQ(one.label, batched[i].label);
     ASSERT_EQ(one.g, batched[i].g);
     ASSERT_EQ(one.confidence, batched[i].confidence);
@@ -119,15 +125,16 @@ TEST_F(QuantPredictorTest, BatchCompositionDoesNotChangeResults) {
 }
 
 TEST_F(QuantPredictorTest, BitIdenticalAcrossThreadCounts) {
-  QuantizedSelectivePredictor quant(*qnet_, 0.5f);
+  const auto quant = load_classifier(*qnet_, {.threshold = 0.5f});
+  // More than one eval batch, so the threaded run also fans batches out.
   std::vector<WaferMap> maps;
-  for (std::size_t i = 0; i < data_->size(); ++i) {
-    maps.push_back((*data_)[i].map);
+  for (std::size_t i = 0; i < eval_->size(); ++i) {
+    maps.push_back((*eval_)[i].map);
   }
   ThreadPool::configure_global(1);
-  const auto serial = quant.predict_batch(maps);
+  const auto serial = quant->predict_batch(maps);
   ThreadPool::configure_global(4);
-  const auto threaded = quant.predict_batch(maps);
+  const auto threaded = quant->predict_batch(maps);
   ThreadPool::configure_global(0);  // restore default
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -152,25 +159,25 @@ TEST_F(QuantPredictorTest, QuantizedModelFileRoundTripsBitwise) {
   EXPECT_FLOAT_EQ(max_abs_diff(a.g, b.g), 0.0f);
 }
 
-TEST_F(QuantPredictorTest, LoadModelAutoWrapsBothKinds) {
+TEST_F(QuantPredictorTest, LoadClassifierWrapsBothKinds) {
   const std::string pid = std::to_string(::getpid());
   const std::string fpath = "/tmp/wm_quant_auto_f_" + pid + ".wsn";
   const std::string qpath = "/tmp/wm_quant_auto_q_" + pid + ".wsn";
   save_model(fpath, *net_);
   save_quantized_model(qpath, *qnet_);
-  const LoadedModel f = load_model_auto(fpath, 0.5f);
-  const LoadedModel q = load_model_auto(qpath, 0.5f);
+  const auto f = load_classifier(fpath);
+  const auto q = load_classifier(qpath);
   std::remove(fpath.c_str());
   std::remove(qpath.c_str());
-  EXPECT_FALSE(f.is_quantized());
-  EXPECT_TRUE(q.is_quantized());
-  EXPECT_EQ(f.map_size, 16);
-  EXPECT_EQ(q.map_size, 16);
-  ASSERT_NE(f.predictor, nullptr);
-  ASSERT_NE(q.predictor, nullptr);
+  ASSERT_NE(f, nullptr);
+  ASSERT_NE(q, nullptr);
+  EXPECT_FALSE(f->is_quantized());
+  EXPECT_TRUE(q->is_quantized());
+  EXPECT_EQ(f->map_size(), 16);
+  EXPECT_EQ(q->map_size(), 16);
   // Both wrap the same trained weights, so they should mostly agree.
-  const auto pf = predict_dataset(*f.predictor, *eval_);
-  const auto pq = predict_dataset(*q.predictor, *eval_);
+  const auto pf = predict_dataset(*f, *eval_);
+  const auto pq = predict_dataset(*q, *eval_);
   const auto y = labels_of(*eval_);
   EXPECT_NEAR(full_accuracy(pq, y), full_accuracy(pf, y), 0.01);
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -76,7 +79,8 @@ TEST(SelectiveNetTest, BackwardUpdatesBothHeads) {
 }
 
 TEST(SelectiveNetTest, SaveLoadRoundTrip) {
-  const std::string path = "/tmp/wm_selnet_test.ckpt";
+  const std::string path =
+      "/tmp/wm_selnet_test_" + std::to_string(::getpid()) + ".ckpt";
   Rng rng(6);
   SelectiveNet a(tiny_net(), rng);
   SelectiveNet b(tiny_net(), rng);  // different weights
@@ -91,7 +95,8 @@ TEST(SelectiveNetTest, SaveLoadRoundTrip) {
 }
 
 TEST(SelectiveNetTest, CheckpointMismatchThrows) {
-  const std::string path = "/tmp/wm_selnet_mismatch.ckpt";
+  const std::string path =
+      "/tmp/wm_selnet_mismatch_" + std::to_string(::getpid()) + ".ckpt";
   Rng rng(7);
   SelectiveNet a(tiny_net(), rng);
   SelectiveNet b({.map_size = 16, .num_classes = 5, .conv1_filters = 8,

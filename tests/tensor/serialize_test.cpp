@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -26,7 +29,9 @@ TEST(SerializeTest, StreamRoundTrip) {
 
 TEST(SerializeTest, FileRoundTrip) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "wm_ser_test.bin").string();
+      (std::filesystem::temp_directory_path() /
+       ("wm_ser_test_" + std::to_string(::getpid()) + ".bin"))
+          .string();
   Rng rng(10);
   const Tensor t = Tensor::uniform(Shape{7}, rng);
   save_tensor(path, t);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -17,7 +20,9 @@ namespace {
 class PgmTest : public ::testing::Test {
  protected:
   std::string path_ =
-      (std::filesystem::temp_directory_path() / "wm_pgm_test.pgm").string();
+      (std::filesystem::temp_directory_path() /
+       ("wm_pgm_test_" + std::to_string(::getpid()) + ".pgm"))
+          .string();
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -60,7 +63,9 @@ TEST(ResizeTest, RejectsTinyTarget) {
 class LoaderTest : public ::testing::Test {
  protected:
   std::string dir_ =
-      (fs::temp_directory_path() / "wm_loader_test").string();
+      (fs::temp_directory_path() /
+       ("wm_loader_test_" + std::to_string(::getpid())))
+          .string();
   void TearDown() override { fs::remove_all(dir_); }
 };
 
