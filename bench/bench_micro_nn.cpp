@@ -5,6 +5,7 @@
 #include "common/threadpool.hpp"
 #include "nn/layers/conv2d.hpp"
 #include "nn/loss/selective_loss.hpp"
+#include "selective/quant_net.hpp"
 #include "selective/selective_net.hpp"
 
 namespace wm {
@@ -72,17 +73,42 @@ BENCHMARK(BM_Conv2dBackwardThreads)
     ->Args({24, 4})
     ->UseRealTime();
 
+/// Inference through the fused per-image trunk: Table I with BatchNorm (the
+/// net `wm_tool train` serves), args are {map size, batch}.
 void BM_SelectiveNetForward(benchmark::State& state) {
   Rng rng(2);
-  selective::SelectiveNet net({.map_size = 24, .num_classes = 9}, rng);
-  const Tensor x = Tensor::normal(Shape{state.range(0), 1, 24, 24}, rng);
+  const int size = static_cast<int>(state.range(0));
+  selective::SelectiveNet net(
+      {.map_size = size, .num_classes = 9, .use_batchnorm = true}, rng);
+  const Tensor x = Tensor::uniform(Shape{state.range(1), 1, size, size}, rng);
   for (auto _ : state) {
-    auto out = net.forward(x, false);
+    auto out = net.infer(x);
     benchmark::DoNotOptimize(out.logits.data());
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() * state.range(1));
 }
-BENCHMARK(BM_SelectiveNetForward)->Arg(1)->Arg(16)->Arg(64);
+BENCHMARK(BM_SelectiveNetForward)
+    ->ArgsProduct({{32, 64}, {1, 256}})
+    ->UseRealTime();
+
+/// The int8 sibling of BM_SelectiveNetForward: the same net quantized.
+void BM_QuantizedNetInfer(benchmark::State& state) {
+  Rng rng(2);
+  const int size = static_cast<int>(state.range(0));
+  selective::SelectiveNet net(
+      {.map_size = size, .num_classes = 9, .use_batchnorm = true}, rng);
+  const selective::QuantizedSelectiveNet q =
+      selective::quantize_selective_net(net);
+  const Tensor x = Tensor::uniform(Shape{state.range(1), 1, size, size}, rng);
+  for (auto _ : state) {
+    auto out = q.infer(x);
+    benchmark::DoNotOptimize(out.logits.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_QuantizedNetInfer)
+    ->ArgsProduct({{32, 64}, {1, 256}})
+    ->UseRealTime();
 
 void BM_SelectiveNetTrainStep(benchmark::State& state) {
   Rng rng(3);

@@ -15,7 +15,7 @@ Tensor ReLU::forward(const Tensor& input, bool training) {
   const float* in = input.data();
   float* po = out.data();
   const std::int64_t n = input.numel();
-  for (std::int64_t i = 0; i < n; ++i) po[i] = in[i] > 0.0f ? in[i] : 0.0f;
+  for (std::int64_t i = 0; i < n; ++i) po[i] = relu(in[i]);
   return out;
 }
 

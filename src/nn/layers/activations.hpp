@@ -5,6 +5,10 @@
 
 namespace wm::nn {
 
+/// ReLU of one element. ReLU::forward and the fused inference epilogue
+/// (pool2x2) both call it, so the two cannot drift.
+inline float relu(float x) { return x > 0.0f ? x : 0.0f; }
+
 class ReLU final : public Module {
  public:
   Tensor forward(const Tensor& input, bool training) override;

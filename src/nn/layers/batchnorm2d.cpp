@@ -46,42 +46,44 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
   ThreadPool::global().parallel_for(0, static_cast<std::size_t>(c),
                                     [&](std::size_t chv) {
     const std::int64_t ch = static_cast<std::int64_t>(chv);
-    float mean;
-    float var;
-    if (training) {
-      double acc = 0.0;
+    if (!training) {
+      const BatchNormAffine affine = channel_affine(ch);
       for (std::int64_t i = 0; i < n; ++i) {
         const float* p = input.data() + (i * c + ch) * spatial;
-        for (std::int64_t s = 0; s < spatial; ++s) acc += p[s];
+        float* o = out.data() + (i * c + ch) * spatial;
+        for (std::int64_t s = 0; s < spatial; ++s) o[s] = affine(p[s]);
       }
-      mean = static_cast<float>(acc / static_cast<double>(per_channel));
-      double vacc = 0.0;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* p = input.data() + (i * c + ch) * spatial;
-        for (std::int64_t s = 0; s < spatial; ++s) {
-          const double d = p[s] - mean;
-          vacc += d * d;
-        }
-      }
-      var = static_cast<float>(vacc / static_cast<double>(per_channel));
-      const float m = static_cast<float>(opts_.momentum);
-      running_mean_[ch] = (1.0f - m) * running_mean_[ch] + m * mean;
-      running_var_[ch] = (1.0f - m) * running_var_[ch] + m * var;
-    } else {
-      mean = running_mean_[ch];
-      var = running_var_[ch];
+      return;
     }
-    const float inv_std = 1.0f / std::sqrt(var + static_cast<float>(opts_.eps));
-    if (training) inv_std_[static_cast<std::size_t>(ch)] = inv_std;
+    double acc = 0.0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float* p = input.data() + (i * c + ch) * spatial;
+      for (std::int64_t s = 0; s < spatial; ++s) acc += p[s];
+    }
+    const float mean = static_cast<float>(acc / static_cast<double>(per_channel));
+    double vacc = 0.0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float* p = input.data() + (i * c + ch) * spatial;
+      for (std::int64_t s = 0; s < spatial; ++s) {
+        const double d = p[s] - mean;
+        vacc += d * d;
+      }
+    }
+    const float var = static_cast<float>(vacc / static_cast<double>(per_channel));
+    const float m = static_cast<float>(opts_.momentum);
+    running_mean_[ch] = (1.0f - m) * running_mean_[ch] + m * mean;
+    running_var_[ch] = (1.0f - m) * running_var_[ch] + m * var;
+    const float is = inv_std(var);
+    inv_std_[static_cast<std::size_t>(ch)] = is;
     const float g = gamma_.value[ch];
     const float b = beta_.value[ch];
     for (std::int64_t i = 0; i < n; ++i) {
       const float* p = input.data() + (i * c + ch) * spatial;
       float* o = out.data() + (i * c + ch) * spatial;
-      float* xh = training ? normalized_.data() + (i * c + ch) * spatial : nullptr;
+      float* xh = normalized_.data() + (i * c + ch) * spatial;
       for (std::int64_t s = 0; s < spatial; ++s) {
-        const float norm = (p[s] - mean) * inv_std;
-        if (xh != nullptr) xh[s] = norm;
+        const float norm = (p[s] - mean) * is;
+        xh[s] = norm;
         o[s] = g * norm + b;
       }
     }
@@ -137,6 +139,23 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
     }
   });
   return grad_input;
+}
+
+float BatchNorm2d::inv_std(float var) const {
+  return 1.0f / std::sqrt(var + static_cast<float>(opts_.eps));
+}
+
+BatchNormAffine BatchNorm2d::channel_affine(std::int64_t ch) const {
+  return {.mean = running_mean_[ch], .inv_std = inv_std(running_var_[ch]),
+          .gamma = gamma_.value[ch], .beta = beta_.value[ch]};
+}
+
+std::vector<BatchNormAffine> BatchNorm2d::eval_affine() const {
+  std::vector<BatchNormAffine> out(static_cast<std::size_t>(opts_.channels));
+  for (std::int64_t ch = 0; ch < opts_.channels; ++ch) {
+    out[static_cast<std::size_t>(ch)] = channel_affine(ch);
+  }
+  return out;
 }
 
 std::string BatchNorm2d::name() const {

@@ -3,9 +3,26 @@
 // for inference.
 #pragma once
 
+#include <vector>
+
 #include "nn/module.hpp"
 
 namespace wm::nn {
+
+/// BatchNorm2d's eval-mode affine for one channel: (x - mean) * inv_std,
+/// then gamma * norm + beta. forward(eval) and the fused inference epilogue
+/// both apply it, so the two cannot drift.
+struct BatchNormAffine {
+  float mean = 0.0f;
+  float inv_std = 1.0f;
+  float gamma = 1.0f;
+  float beta = 0.0f;
+
+  float operator()(float x) const {
+    const float norm = (x - mean) * inv_std;
+    return gamma * norm + beta;
+  }
+};
 
 struct BatchNorm2dOptions {
   std::int64_t channels = 0;
@@ -28,7 +45,15 @@ class BatchNorm2d final : public Module {
   const Tensor& running_mean() const { return running_mean_; }
   const Tensor& running_var() const { return running_var_; }
 
+  /// The eval affine of every channel, from the current running statistics
+  /// and parameters. inv_std is recomputed on each call (one sqrt per
+  /// channel); nothing is cached, so training never leaves it stale.
+  std::vector<BatchNormAffine> eval_affine() const;
+
  private:
+  BatchNormAffine channel_affine(std::int64_t ch) const;
+  float inv_std(float var) const;
+
   BatchNorm2dOptions opts_;
   Parameter gamma_;  // (C), initialised to 1
   Parameter beta_;   // (C), initialised to 0

@@ -25,10 +25,10 @@ Conv2d::Conv2d(const Conv2dOptions& opts, Rng& rng)
   he_normal(weight_.value, opts.in_channels * opts.kernel * opts.kernel, rng);
 }
 
-ConvGeometry Conv2d::geometry(std::int64_t h, std::int64_t w) const {
-  ConvGeometry g{.channels = opts_.in_channels, .height = h, .width = w,
-                 .kernel_h = opts_.kernel, .kernel_w = opts_.kernel,
-                 .stride = opts_.stride, .pad = opts_.pad};
+ConvGeometry Conv2dOptions::geometry(std::int64_t h, std::int64_t w) const {
+  ConvGeometry g{.channels = in_channels, .height = h, .width = w,
+                 .kernel_h = kernel, .kernel_w = kernel, .stride = stride,
+                 .pad = pad};
   g.validate();
   return g;
 }
@@ -41,38 +41,40 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
                  input.shape().to_string());
   if (training) input_ = input;
   const std::int64_t n = input.dim(0);
-  const ConvGeometry g = geometry(input.dim(2), input.dim(3));
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  const std::int64_t spatial = oh * ow;
+  const ConvGeometry g = opts_.geometry(input.dim(2), input.dim(3));
   const std::int64_t in_image = input.dim(1) * input.dim(2) * input.dim(3);
-  const std::int64_t out_image = opts_.out_channels * spatial;
+  const std::int64_t out_image = opts_.out_channels * g.col_cols();
   const std::size_t col_size =
       static_cast<std::size_t>(g.col_rows() * g.col_cols());
 
-  Tensor out(Shape{n, opts_.out_channels, oh, ow});
+  Tensor out(Shape{n, opts_.out_channels, g.out_h(), g.out_w()});
   ThreadPool::global().parallel_chunks(
       0, static_cast<std::size_t>(n),
       [&](std::size_t lo, std::size_t hi, std::size_t /*slot*/) {
         std::vector<float> col(col_size);
         for (std::size_t i = lo; i < hi; ++i) {
           const std::int64_t img = static_cast<std::int64_t>(i);
-          im2col(g, input.data() + img * in_image, col.data());
-          // out_i (OC x spatial) = W (OC x IC*K*K) * col (IC*K*K x spatial),
-          // with the per-channel bias folded into the GEMM epilogue.
-          sgemm_bias_rows(opts_.out_channels, spatial, g.col_rows(), 1.0f,
-                          weight_.value.data(), col.data(), 0.0f,
-                          out.data() + img * out_image, bias_.value.data());
+          forward_image(g, input.data() + img * in_image, col.data(),
+                        out.data() + img * out_image);
         }
       });
   return out;
+}
+
+void Conv2d::forward_image(const ConvGeometry& g, const float* image,
+                           float* col, float* out) const {
+  im2col(g, image, col);
+  // out (OC x spatial) = W (OC x IC*K*K) * col (IC*K*K x spatial), with the
+  // per-channel bias folded into the GEMM epilogue.
+  sgemm_bias_rows(opts_.out_channels, g.col_cols(), g.col_rows(), 1.0f,
+                  weight_.value.data(), col, 0.0f, out, bias_.value.data());
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
   WM_TRACE_SCOPE("conv2d.bwd");
   WM_COUNTER_INC("wm_nn_conv2d_backward_total", "Conv2d backward passes");
   const std::int64_t n = input_.dim(0);
-  const ConvGeometry g = geometry(input_.dim(2), input_.dim(3));
+  const ConvGeometry g = opts_.geometry(input_.dim(2), input_.dim(3));
   const std::int64_t oh = g.out_h();
   const std::int64_t ow = g.out_w();
   const std::int64_t spatial = oh * ow;

@@ -54,23 +54,12 @@ Tensor QuantConv2d::forward(const Tensor& input) const {
                  "QuantConv2d expects (N, ", opts_.in_channels,
                  ", H, W), got ", input.shape().to_string());
   const std::int64_t n = input.dim(0);
-  ConvGeometry g{.channels = opts_.in_channels, .height = input.dim(2),
-                 .width = input.dim(3), .kernel_h = opts_.kernel,
-                 .kernel_w = opts_.kernel, .stride = opts_.stride,
-                 .pad = opts_.pad};
-  g.validate();
-  const std::int64_t spatial = g.col_cols();
+  const ConvGeometry g = opts_.geometry(input.dim(2), input.dim(3));
   const std::int64_t in_image = input.dim(1) * input.dim(2) * input.dim(3);
-  const std::int64_t out_image = opts_.out_channels * spatial;
+  const std::int64_t out_image = opts_.out_channels * g.col_cols();
   const std::size_t col_size =
       static_cast<std::size_t>(g.col_rows() * g.col_cols());
 
-  // Dynamic activation quantization is per image, not per batch: a sample's
-  // output must not depend on what it was batched with (the Classifier
-  // contract), and per-image ranges are tighter anyway. Each image is
-  // quantized, expanded by a u8 im2col (4x less traffic than the float
-  // expansion, pad taps = the zero point) and multiplied against the shared
-  // int8 weights.
   Tensor out(Shape{n, opts_.out_channels, g.out_h(), g.out_w()});
   ThreadPool::global().parallel_chunks(
       0, static_cast<std::size_t>(n),
@@ -79,24 +68,35 @@ Tensor QuantConv2d::forward(const Tensor& input) const {
         std::vector<std::uint8_t> col(col_size);
         for (std::size_t i = lo; i < hi; ++i) {
           const std::int64_t img = static_cast<std::int64_t>(i);
-          const float* src = input.data() + img * in_image;
-          const ActivationQuant aq = choose_activation_quant(src, in_image);
-          quantize_activations(src, in_image, aq, qimg.data());
-          im2col_u8(g, qimg.data(), col.data(),
-                    static_cast<std::uint8_t>(aq.zero_point));
-          I8Epilogue epi;
-          epi.channel_scales = qw_.scales.data();
-          epi.act_scale = aq.scale;
-          epi.act_zero_point = aq.zero_point;
-          epi.weight_row_sums = qw_.row_sums.data();
-          epi.bias = bias_.data();
-          epi.relu = relu_;
-          i8gemm_bias_rows(opts_.out_channels, spatial, g.col_rows(),
-                           qw_.q.data(), col.data(),
-                           out.data() + img * out_image, epi);
+          forward_image(g, input.data() + img * in_image, qimg.data(),
+                        col.data(), out.data() + img * out_image);
         }
       });
   return out;
+}
+
+void QuantConv2d::forward_image(const ConvGeometry& g, const float* image,
+                                std::uint8_t* qimg, std::uint8_t* col,
+                                float* out) const {
+  // Dynamic activation quantization is per image, not per batch: a sample's
+  // output must not depend on what it was batched with (the Classifier
+  // contract), and per-image ranges are tighter anyway. The image is
+  // quantized, expanded by a u8 im2col (4x less traffic than the float
+  // expansion, pad taps = the zero point) and multiplied against the shared
+  // int8 weights.
+  const std::int64_t in_image = g.channels * g.height * g.width;
+  const ActivationQuant aq = choose_activation_quant(image, in_image);
+  quantize_activations(image, in_image, aq, qimg);
+  im2col_u8(g, qimg, col, static_cast<std::uint8_t>(aq.zero_point));
+  I8Epilogue epi;
+  epi.channel_scales = qw_.scales.data();
+  epi.act_scale = aq.scale;
+  epi.act_zero_point = aq.zero_point;
+  epi.weight_row_sums = qw_.row_sums.data();
+  epi.bias = bias_.data();
+  epi.relu = relu_;
+  i8gemm_bias_rows(opts_.out_channels, g.col_cols(), g.col_rows(), qw_.q.data(),
+                   col, out, epi);
 }
 
 QuantLinear::QuantLinear(const Tensor& weight, const Tensor& bias,

@@ -33,6 +33,14 @@ class QuantConv2d {
 
   Tensor forward(const Tensor& input) const;
 
+  /// Convolves one image (in_channels, g.height, g.width) into `out`
+  /// (out_channels, g.out_h(), g.out_w()). `qimg` (in_channels x height x
+  /// width) and `col` (g.col_rows() x g.col_cols()) are caller scratch. No
+  /// span or counter: the building block of forward() and of the per-image
+  /// inference trunk.
+  void forward_image(const ConvGeometry& g, const float* image,
+                     std::uint8_t* qimg, std::uint8_t* col, float* out) const;
+
   const Conv2dOptions& options() const { return opts_; }
   const QuantizedWeights& weights() const { return qw_; }
   const Tensor& bias() const { return bias_; }

@@ -1,42 +1,19 @@
 #include "selective/quant_net.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "nn/layers/batchnorm2d.hpp"
+#include "nn/layers/maxpool2d.hpp"
+#include "obs/trace.hpp"
+#include "selective/trunk.hpp"
 
 namespace wm::selective {
-
-namespace {
-
-/// 2x2 stride-2 max pool over (N, C, H, W) — the only trunk op left in
-/// float. It is cheap, and max is order-preserving, so there is nothing to
-/// gain from an integer version.
-Tensor maxpool2(const Tensor& x) {
-  const std::int64_t h = x.dim(2);
-  const std::int64_t w = x.dim(3);
-  const std::int64_t oh = h / 2;
-  const std::int64_t ow = w / 2;
-  Tensor out(Shape{x.dim(0), x.dim(1), oh, ow});
-  const std::int64_t planes = x.dim(0) * x.dim(1);
-  for (std::int64_t pl = 0; pl < planes; ++pl) {
-    const float* plane = x.data() + pl * h * w;
-    float* oplane = out.data() + pl * oh * ow;
-    for (std::int64_t i = 0; i < oh; ++i) {
-      for (std::int64_t j = 0; j < ow; ++j) {
-        const float* p = plane + 2 * i * w + 2 * j;
-        oplane[i * ow + j] =
-            std::max(std::max(p[0], p[1]), std::max(p[w], p[w + 1]));
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 QuantizedSelectiveNet::QuantizedSelectiveNet(
     const SelectiveNetOptions& opts, nn::quant::QuantConv2d conv1,
@@ -72,12 +49,35 @@ SelectiveOutput QuantizedSelectiveNet::infer(const Tensor& images) const {
                      images.dim(3) == opts_.map_size,
                  "QuantizedSelectiveNet expects (N,1,", opts_.map_size, ",",
                  opts_.map_size, "), got ", images.shape().to_string());
-  Tensor x = maxpool2(conv1_.forward(images));  // relu fused into the conv
-  x = maxpool2(conv2_.forward(x));
-  x = maxpool2(conv3_.forward(x));
-  const std::int64_t n = x.dim(0);
-  x = x.reshape(Shape{n, x.numel() / std::max<std::int64_t>(n, 1)});
-  x = fc_.forward(x);  // relu fused
+  const std::int64_t s = opts_.map_size;
+  const std::array<const nn::quant::QuantConv2d*, 3> convs = {&conv1_, &conv2_,
+                                                               &conv3_};
+  std::array<ConvGeometry, 3> geo;
+  std::int64_t image_size = 0;
+  std::int64_t col_size = 0;
+  for (std::size_t b = 0; b < 3; ++b) {
+    geo[b] = convs[b]->options().geometry(s >> b, s >> b);
+    image_size = std::max(image_size,
+                          geo[b].channels * geo[b].height * geo[b].width);
+    col_size = std::max(col_size, geo[b].col_rows() * geo[b].col_cols());
+  }
+  const Tensor features = detail::run_trunk(images, opts_, [&] {
+    return detail::TrunkBlock(
+        [&, qimg = std::vector<std::uint8_t>(
+                static_cast<std::size_t>(image_size)),
+         col = std::vector<std::uint8_t>(static_cast<std::size_t>(col_size))](
+            int block, const float* in, float* conv, float* out) mutable {
+          const std::size_t b = static_cast<std::size_t>(block);
+          const ConvGeometry& g = geo[b];
+          // ReLU is fused into the conv's GEMM, so the epilogue is the pool.
+          convs[b]->forward_image(g, in, qimg.data(), col.data(), conv);
+          nn::pool2x2(conv, convs[b]->options().out_channels, g.out_h(),
+                      g.out_w(), out);
+        });
+  });
+
+  WM_TRACE_SCOPE("infer.heads");
+  const Tensor x = fc_.forward(features);  // relu fused
   SelectiveOutput out;
   out.logits = head_f_.forward(x);
   Tensor g = head_g_.forward(x);

@@ -6,6 +6,10 @@
 //
 //   [qconv+relu -> pool] x3 -> flatten -> qfc+relu -> {qhead_f, qhead_g+sigmoid}
 //
+// The conv blocks run image by image through the trunk runner shared with
+// SelectiveNet::infer (selective/trunk.hpp); FC and the heads run
+// batch-wide.
+//
 // Inference only — there is no backward and no training path. Produced by
 // quantize_selective_net() from a trained fp32 net, or reconstructed from a
 // WSN2 model file (model_file.hpp).
@@ -30,13 +34,14 @@ class QuantizedSelectiveNet {
                         nn::quant::QuantLinear head_g);
 
   /// Eval-mode forward over (N, 1, map_size, map_size) images. Const and
-  /// reentrant: all scratch is call-local, so one net may serve concurrent
-  /// callers — the same contract as SelectiveNet::infer.
+  /// reentrant: all scratch is per-chunk and call-local, so one net may
+  /// serve concurrent callers — the same contract as SelectiveNet::infer.
   SelectiveOutput infer(const Tensor& images) const;
 
   const SelectiveNetOptions& options() const { return opts_; }
 
-  // Layer accessors for serialization (model_file.cpp).
+  // Layer accessors for serialization (model_file.cpp) and layer-by-layer
+  // replays; the convs' batch forwards return unpooled outputs.
   const nn::quant::QuantConv2d& conv1() const { return conv1_; }
   const nn::quant::QuantConv2d& conv2() const { return conv2_; }
   const nn::quant::QuantConv2d& conv3() const { return conv3_; }

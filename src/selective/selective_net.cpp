@@ -1,5 +1,7 @@
 #include "selective/selective_net.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/layers/activations.hpp"
@@ -9,6 +11,8 @@
 #include "nn/layers/linear.hpp"
 #include "nn/layers/maxpool2d.hpp"
 #include "nn/model_io.hpp"
+#include "obs/trace.hpp"
+#include "selective/trunk.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace wm::selective {
@@ -23,22 +27,28 @@ SelectiveNet::SelectiveNet(const SelectiveNetOptions& opts, Rng& rng)
                opts.conv3_filters > 0 && opts.fc_units > 0,
            "bad layer sizes");
 
-  const auto add_conv_block = [&](int in_ch, int out_ch, int kernel, int pad) {
-    trunk_.add(nn::make_layer<nn::Conv2d>(
+  const auto add_conv_block = [&](ConvBlock& block, int in_ch, int out_ch,
+                                  int kernel, int pad) {
+    auto conv = std::make_unique<nn::Conv2d>(
         nn::Conv2dOptions{.in_channels = in_ch, .out_channels = out_ch,
                           .kernel = kernel, .stride = 1, .pad = pad},
-        rng));
+        rng);
+    block.conv = conv.get();
+    trunk_.add(std::move(conv));
     if (opts.use_batchnorm) {
-      trunk_.add(nn::make_layer<nn::BatchNorm2d>(
-          nn::BatchNorm2dOptions{.channels = out_ch}));
+      auto bn = std::make_unique<nn::BatchNorm2d>(
+          nn::BatchNorm2dOptions{.channels = out_ch});
+      block.bn = bn.get();
+      trunk_.add(std::move(bn));
     }
     trunk_.add(nn::make_layer<nn::ReLU>());
     trunk_.add(nn::make_layer<nn::MaxPool2d>(2));
   };
-  add_conv_block(1, opts.conv1_filters, 5, 2);
-  add_conv_block(opts.conv1_filters, opts.conv2_filters, 3, 1);
-  add_conv_block(opts.conv2_filters, opts.conv3_filters, 3, 1);
+  add_conv_block(blocks_[0], 1, opts.conv1_filters, 5, 2);
+  add_conv_block(blocks_[1], opts.conv1_filters, opts.conv2_filters, 3, 1);
+  add_conv_block(blocks_[2], opts.conv2_filters, opts.conv3_filters, 3, 1);
   trunk_.add(nn::make_layer<nn::Flatten>());
+  fc_index_ = trunk_.size();
   const std::int64_t feat = static_cast<std::int64_t>(opts.conv3_filters) *
                             (opts.map_size / 8) * (opts.map_size / 8);
   trunk_.add(nn::make_layer<nn::Linear>(feat, opts.fc_units, rng))
@@ -49,12 +59,17 @@ SelectiveNet::SelectiveNet(const SelectiveNetOptions& opts, Rng& rng)
       .add(nn::make_layer<nn::Sigmoid>());
 }
 
-SelectiveOutput SelectiveNet::forward(const Tensor& images, bool training) {
+void SelectiveNet::check_input(const Tensor& images) const {
   WM_CHECK_SHAPE(images.rank() == 4 && images.dim(1) == 1 &&
                      images.dim(2) == opts_.map_size &&
                      images.dim(3) == opts_.map_size,
                  "SelectiveNet expects (N,1,", opts_.map_size, ",",
                  opts_.map_size, "), got ", images.shape().to_string());
+}
+
+SelectiveOutput SelectiveNet::forward(const Tensor& images, bool training) {
+  if (!training) return infer(images);
+  check_input(images);
   const Tensor features = trunk_.forward(images, training);
   SelectiveOutput out;
   out.logits = head_f_.forward(features, training);
@@ -63,10 +78,55 @@ SelectiveOutput SelectiveNet::forward(const Tensor& images, bool training) {
 }
 
 SelectiveOutput SelectiveNet::infer(const Tensor& images) const {
-  // Safe: forward(..., training=false) touches no member state (§7
-  // reentrancy), it only lacks a const qualifier because the training path
-  // shares the signature.
-  return const_cast<SelectiveNet*>(this)->forward(images, /*training=*/false);
+  check_input(images);
+  const std::int64_t s = opts_.map_size;
+  std::array<ConvGeometry, 3> geo;
+  // BN's eval affine per block, read now so the trunk sees the current
+  // running statistics; empty without BatchNorm.
+  std::array<std::vector<nn::BatchNormAffine>, 3> bn;
+  std::int64_t col_size = 0;
+  for (std::size_t b = 0; b < 3; ++b) {
+    geo[b] = blocks_[b].conv->options().geometry(s >> b, s >> b);
+    col_size = std::max(col_size, geo[b].col_rows() * geo[b].col_cols());
+    if (blocks_[b].bn != nullptr) bn[b] = blocks_[b].bn->eval_affine();
+  }
+  Tensor x = detail::run_trunk(images, opts_, [&] {
+    return detail::TrunkBlock(
+        [&, col = std::vector<float>(static_cast<std::size_t>(col_size))](
+            int block, const float* in, float* conv, float* out) mutable {
+          const std::size_t b = static_cast<std::size_t>(block);
+          const ConvGeometry& g = geo[b];
+          const nn::Conv2d& layer = *blocks_[b].conv;
+          layer.forward_image(g, in, col.data(), conv);
+          // The fused epilogue: BN eval affine, then ReLU, then 2x2 max.
+          const std::int64_t oc = layer.options().out_channels;
+          if (bn[b].empty()) {
+            nn::pool2x2(conv, oc, g.out_h(), g.out_w(), out,
+                        [](std::int64_t) {
+                          return [](float x) { return nn::relu(x); };
+                        });
+          } else {
+            nn::pool2x2(conv, oc, g.out_h(), g.out_w(), out,
+                        [&bn, b](std::int64_t c) {
+                          return [a = bn[b][static_cast<std::size_t>(c)]](
+                                     float x) { return nn::relu(a(x)); };
+                        });
+          }
+        });
+  });
+
+  WM_TRACE_SCOPE("infer.heads");
+  // Eval forwards of the dense layers write no layer state (backward caches
+  // are gated on `training`); they lack a const qualifier only because the
+  // training path shares the signature.
+  SelectiveNet& self = const_cast<SelectiveNet&>(*this);
+  for (std::size_t i = fc_index_; i < trunk_.size(); ++i) {
+    x = self.trunk_.layer(i).forward(x, /*training=*/false);
+  }
+  SelectiveOutput out;
+  out.logits = self.head_f_.forward(x, /*training=*/false);
+  out.g = self.head_g_.forward(x, /*training=*/false);
+  return out;
 }
 
 void SelectiveNet::backward(const Tensor& grad_logits, const Tensor& grad_g) {

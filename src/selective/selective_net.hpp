@@ -10,6 +10,7 @@
 //   selection head g:  FC(256 -> 1) -> sigmoid
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -19,6 +20,11 @@
 namespace wm {
 class Rng;
 }
+
+namespace wm::nn {
+class BatchNorm2d;
+class Conv2d;
+}  // namespace wm::nn
 
 namespace wm::selective {
 
@@ -46,12 +52,15 @@ class SelectiveNet {
  public:
   SelectiveNet(const SelectiveNetOptions& opts, Rng& rng);
 
-  /// Forward through trunk and both heads.
+  /// Forward through trunk and both heads. The eval forward
+  /// (training = false) is infer().
   SelectiveOutput forward(const Tensor& images, bool training);
 
-  /// Eval-mode forward callable from const contexts. Eval forwards write no
-  /// layer state (backward caches are gated on `training`, DESIGN.md §7), so
-  /// this is safe to call concurrently on one net.
+  /// Eval-mode forward: the per-image trunk (selective/trunk.hpp) with BN,
+  /// ReLU and the 2x2 pool fused into one epilogue per conv, then FC and the
+  /// heads batch-wide. Bit-identical to the layer chain's eval forward. It
+  /// writes no layer state (DESIGN.md §7), so it is safe to call
+  /// concurrently on one net.
   SelectiveOutput infer(const Tensor& images) const;
 
   /// Backward given the loss gradients of both heads (from SelectiveLoss).
@@ -81,10 +90,20 @@ class SelectiveNet {
   void load(const std::string& path);
 
  private:
+  void check_input(const Tensor& images) const;
+
+  /// Typed views of one conv block's layers in trunk_, for infer().
+  struct ConvBlock {
+    nn::Conv2d* conv = nullptr;
+    nn::BatchNorm2d* bn = nullptr;  // null without BatchNorm
+  };
+
   SelectiveNetOptions opts_;
   nn::Sequential trunk_;
   nn::Sequential head_f_;
   nn::Sequential head_g_;
+  std::array<ConvBlock, 3> blocks_;
+  std::size_t fc_index_ = 0;  // trunk_ index of the FC layer
 };
 
 }  // namespace wm::selective

@@ -4,13 +4,16 @@
 #include "selective/load_classifier.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/threadpool.hpp"
 #include "selective/calibrate.hpp"
 #include "wafermap/synth/generator.hpp"
 
@@ -88,6 +91,30 @@ TEST(PredictorTest, BatchedAndWholeSetAgree) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].label, b[i].label);
     EXPECT_EQ(a[i].g, b[i].g);
+  }
+}
+
+TEST(PredictorTest, BitIdenticalAcrossThreadCounts) {
+  Rng rng(12);
+  SelectiveNetOptions opts = tiny_net();
+  opts.use_batchnorm = true;
+  SelectiveNet net(opts, rng);
+  const auto predictor = load_classifier(net, {.threshold = 0.5f});
+  // 270 wafers, more than one eval batch of 256: the threaded run fans the
+  // batches out, and inside a batch the trunk fans its images out.
+  const auto maps = maps_of(small_dataset(13, 30));
+  ThreadPool::configure_global(1);
+  const auto serial = predictor->predict_batch(maps);
+  ThreadPool::configure_global(4);
+  const auto threaded = predictor->predict_batch(maps);
+  ThreadPool::configure_global(0);  // restore default
+  ASSERT_EQ(serial.size(), threaded.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(serial[i].label, threaded[i].label);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(serial[i].g),
+              std::bit_cast<std::uint32_t>(threaded[i].g));
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(serial[i].confidence),
+              std::bit_cast<std::uint32_t>(threaded[i].confidence));
   }
 }
 

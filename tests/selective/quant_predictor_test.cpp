@@ -9,11 +9,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
+#include "nn/layers/maxpool2d.hpp"
 #include "selective/calibrate.hpp"
 #include "selective/model_file.hpp"
 #include "selective/quant_net.hpp"
@@ -141,6 +143,41 @@ TEST_F(QuantPredictorTest, BitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(serial[i].label, threaded[i].label);
     ASSERT_EQ(serial[i].g, threaded[i].g);
     ASSERT_EQ(serial[i].confidence, threaded[i].confidence);
+  }
+}
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST_F(QuantPredictorTest, InferBitEqualsLayerChain) {
+  // The reference chain: the public batch-wide layer forwards, each conv's
+  // (ReLU-fused) output pooled by MaxPool2d, then the dense layers and the
+  // sigmoid of g. infer()'s fused per-image trunk must match bit for bit.
+  const QuantizedSelectiveNet& q = *qnet_;
+  const auto chain = [&q](const Tensor& images) {
+    nn::MaxPool2d pool(2);
+    Tensor x = pool.forward(q.conv1().forward(images), false);
+    x = pool.forward(q.conv2().forward(x), false);
+    x = pool.forward(q.conv3().forward(x), false);
+    x = q.fc().forward(x.reshape(Shape{x.dim(0), x.numel() / x.dim(0)}));
+    SelectiveOutput out;
+    out.logits = q.head_f().forward(x);
+    out.g = q.head_g().forward(x);
+    for (std::int64_t i = 0; i < out.g.numel(); ++i) {
+      out.g[i] = 1.0f / (1.0f + std::exp(-out.g[i]));
+    }
+    return out;
+  };
+  const Batch whole = eval_->full_batch();
+  const Batch one = eval_->make_batch({5});
+  for (const Tensor* images : {&whole.images, &one.images}) {
+    const SelectiveOutput want = chain(*images);
+    const SelectiveOutput got = q.infer(*images);
+    EXPECT_TRUE(bit_equal(got.logits, want.logits)) << images->dim(0);
+    EXPECT_TRUE(bit_equal(got.g, want.g)) << images->dim(0);
   }
 }
 

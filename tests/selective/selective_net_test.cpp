@@ -5,11 +5,19 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "nn/layers/activations.hpp"
+#include "nn/layers/batchnorm2d.hpp"
+#include "nn/layers/conv2d.hpp"
+#include "nn/layers/flatten.hpp"
+#include "nn/layers/linear.hpp"
+#include "nn/layers/maxpool2d.hpp"
 #include "nn/loss/selective_loss.hpp"
+#include "nn/sequential.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace wm::selective {
@@ -105,6 +113,107 @@ TEST(SelectiveNetTest, CheckpointMismatchThrows) {
   a.save(path);
   EXPECT_THROW(b.load(path), IoError);
   std::remove(path.c_str());
+}
+
+/// The eval forward of `net` as an explicit chain of the public layers'
+/// forward(..., false) calls, with the net's parameters and buffers copied
+/// in: the reference infer()'s fused per-image trunk must match bit for bit.
+SelectiveOutput layer_chain_forward(SelectiveNet& net, const Tensor& images) {
+  const SelectiveNetOptions& o = net.options();
+  Rng scratch(0);  // initial weights are overwritten below
+  nn::Sequential trunk;
+  const auto block = [&](std::int64_t in_ch, std::int64_t out_ch,
+                         std::int64_t kernel, std::int64_t pad) {
+    trunk.add(nn::make_layer<nn::Conv2d>(
+        nn::Conv2dOptions{.in_channels = in_ch, .out_channels = out_ch,
+                          .kernel = kernel, .stride = 1, .pad = pad},
+        scratch));
+    if (o.use_batchnorm) {
+      trunk.add(nn::make_layer<nn::BatchNorm2d>(
+          nn::BatchNorm2dOptions{.channels = out_ch}));
+    }
+    trunk.add(nn::make_layer<nn::ReLU>());
+    trunk.add(nn::make_layer<nn::MaxPool2d>(2));
+  };
+  block(1, o.conv1_filters, 5, 2);
+  block(o.conv1_filters, o.conv2_filters, 3, 1);
+  block(o.conv2_filters, o.conv3_filters, 3, 1);
+  const std::int64_t feat = static_cast<std::int64_t>(o.conv3_filters) *
+                            (o.map_size / 8) * (o.map_size / 8);
+  trunk.add(nn::make_layer<nn::Flatten>());
+  trunk.add(nn::make_layer<nn::Linear>(feat, o.fc_units, scratch));
+  trunk.add(nn::make_layer<nn::ReLU>());
+  nn::Sequential head_f;
+  head_f.add(nn::make_layer<nn::Linear>(o.fc_units, o.num_classes, scratch));
+  nn::Sequential head_g;
+  head_g.add(nn::make_layer<nn::Linear>(o.fc_units, 1, scratch));
+  head_g.add(nn::make_layer<nn::Sigmoid>());
+
+  const auto src = net.parameters();
+  const auto dst = nn::collect_parameters({&trunk, &head_f, &head_g});
+  EXPECT_EQ(src.size(), dst.size());
+  for (std::size_t i = 0; i < src.size() && i < dst.size(); ++i) {
+    EXPECT_EQ(src[i]->name, dst[i]->name);
+    dst[i]->value = src[i]->value;
+  }
+  const auto src_buf = net.buffers();
+  const auto dst_buf = trunk.buffers();
+  EXPECT_EQ(src_buf.size(), dst_buf.size());
+  for (std::size_t i = 0; i < src_buf.size() && i < dst_buf.size(); ++i) {
+    *dst_buf[i] = *src_buf[i];
+  }
+
+  Tensor x = images;
+  for (std::size_t i = 0; i < trunk.size(); ++i) {
+    x = trunk.layer(i).forward(x, /*training=*/false);
+  }
+  SelectiveOutput out;
+  out.logits = head_f.forward(x, /*training=*/false);
+  out.g = head_g.forward(x, /*training=*/false);
+  return out;
+}
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(SelectiveNetTest, InferBitEqualsLayerChain) {
+  for (const bool use_bn : {false, true}) {
+    for (const int size : {16, 24, 32}) {
+      Rng rng(static_cast<std::uint64_t>(size) + (use_bn ? 100 : 0));
+      SelectiveNet net({.map_size = size, .num_classes = 9,
+                        .use_batchnorm = use_bn},
+                       rng);
+      // Running statistics and scale/shift away from the identity, so every
+      // term of the BN affine matters.
+      for (Tensor* b : net.buffers()) {
+        for (std::int64_t i = 0; i < b->numel(); ++i) {
+          (*b)[i] = static_cast<float>(rng.uniform(0.2, 1.5));
+        }
+      }
+      for (nn::Parameter* p : net.parameters()) {
+        if (p->name != "bn.gamma" && p->name != "bn.beta") continue;
+        for (std::int64_t i = 0; i < p->value.numel(); ++i) {
+          p->value[i] = static_cast<float>(rng.uniform(-0.5, 1.5));
+        }
+      }
+      for (const std::int64_t n : {1, 19}) {
+        const Tensor x = Tensor::uniform(Shape{n, 1, size, size}, rng);
+        const SelectiveOutput want = layer_chain_forward(net, x);
+        const SelectiveOutput got = net.infer(x);
+        EXPECT_TRUE(bit_equal(got.logits, want.logits))
+            << "bn " << use_bn << " size " << size << " batch " << n;
+        EXPECT_TRUE(bit_equal(got.g, want.g))
+            << "bn " << use_bn << " size " << size << " batch " << n;
+        // forward(eval) is infer().
+        const SelectiveOutput fwd = net.forward(x, /*training=*/false);
+        EXPECT_TRUE(bit_equal(fwd.logits, got.logits));
+        EXPECT_TRUE(bit_equal(fwd.g, got.g));
+      }
+    }
+  }
 }
 
 }  // namespace
