@@ -1,10 +1,13 @@
-// Micro benchmarks of the tensor substrate (GEMM, im2col, softmax).
+// Micro benchmarks of the tensor substrate (GEMM, im2col/col2im, softmax).
 //
 // The GEMM benchmarks report a GFLOP/s counter (2*m*n*k flops per call) so
 // kernel changes can be compared directly. BM_GemmSeed pins the pre-tiling
 // blocked kernel as a baseline; BM_GemmThreads sweeps the pool size via
 // ThreadPool::configure_global to expose serial-vs-parallel scaling.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
@@ -120,6 +123,43 @@ void BM_Im2Col(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.col_rows() * g.col_cols());
 }
 BENCHMARK(BM_Im2Col)->Arg(16)->Arg(32);
+
+// The int8 conv's lowering: BM_Im2Col's geometry over u8 activations, with a
+// non-zero zero point as the padding value.
+void BM_Im2ColU8(benchmark::State& state) {
+  const std::int64_t s = state.range(0);
+  ConvGeometry g{.channels = 32, .height = s, .width = s, .kernel_h = 3,
+                 .kernel_w = 3, .stride = 1, .pad = 1};
+  Rng rng(3);
+  std::vector<std::uint8_t> img(static_cast<std::size_t>(32 * s * s));
+  for (auto& v : img) v = static_cast<std::uint8_t>(rng.next_u64());
+  std::vector<std::uint8_t> col(
+      static_cast<std::size_t>(g.col_rows() * g.col_cols()));
+  for (auto _ : state) {
+    im2col_u8(g, img.data(), col.data(), 17);
+    benchmark::DoNotOptimize(col.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * g.col_rows() * g.col_cols());
+}
+BENCHMARK(BM_Im2ColU8)->Arg(16)->Arg(32);
+
+// The conv backward's scatter of dcol into the input gradient, same geometry.
+void BM_Col2Im(benchmark::State& state) {
+  const std::int64_t s = state.range(0);
+  ConvGeometry g{.channels = 32, .height = s, .width = s, .kernel_h = 3,
+                 .kernel_w = 3, .stride = 1, .pad = 1};
+  Rng rng(3);
+  const Tensor col = Tensor::normal(Shape{g.col_rows(), g.col_cols()}, rng);
+  Tensor img(Shape{32, s, s});
+  for (auto _ : state) {
+    col2im(g, col.data(), img.data());
+    benchmark::DoNotOptimize(img.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * g.col_rows() * g.col_cols());
+}
+BENCHMARK(BM_Col2Im)->Arg(16)->Arg(32);
 
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(4);

@@ -1,5 +1,7 @@
 #include "common/threadpool.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <exception>
 #include <memory>
 #include <string>
@@ -73,59 +75,88 @@ bool ThreadPool::on_worker_thread() const {
   return current_worker_pool != nullptr;
 }
 
+namespace {
+
+// One parallel_chunks call. The caller and the tasks it queued claim chunk
+// indices from `next`; whoever claims a chunk runs it, so the caller never
+// waits on a chunk that no worker has started. Queued tasks own the region
+// through a shared_ptr: one that a worker pops after the caller returned
+// finds every chunk claimed and touches nothing else.
+struct ChunkRegion {
+  using Fn = std::function<void(std::size_t, std::size_t, std::size_t)>;
+
+  ChunkRegion(std::size_t begin, std::size_t end, std::size_t chunks,
+              const Fn* fn)
+      : begin(begin),
+        end(end),
+        chunks(chunks),
+        chunk_size((end - begin + chunks - 1) / chunks),
+        fn(fn),
+        remaining(chunks) {}
+
+  /// Runs unclaimed chunks until none is left.
+  void run() {
+    for (std::size_t c = next.fetch_add(1); c < chunks; c = next.fetch_add(1)) {
+      const std::size_t lo = begin + c * chunk_size;
+      const std::size_t hi = std::min(end, lo + chunk_size);
+      try {
+        if (lo < hi) (*fn)(lo, hi, c);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (!first_error) first_error = std::current_exception();
+      }
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (--remaining == 0) done.notify_one();
+    }
+  }
+
+  const std::size_t begin;
+  const std::size_t end;
+  const std::size_t chunks;
+  const std::size_t chunk_size;
+  // The caller's callable: valid while any chunk is unclaimed or running,
+  // because the caller waits for every claimed chunk before returning.
+  const Fn* fn;
+  std::atomic<std::size_t> next{0};
+
+  std::mutex mutex;
+  std::condition_variable done;
+  std::size_t remaining;  // chunks not yet finished, guarded by mutex
+  std::exception_ptr first_error;  // guarded by mutex
+};
+
+}  // namespace
+
 void ThreadPool::parallel_chunks(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
   // Serial fast path: no workers, a single chunk, or a nested call from a
-  // worker thread. Enqueueing from a worker and blocking on completion can
-  // deadlock (all workers stuck in the wait, nobody left to drain the
-  // queue), so nested calls degrade to inline execution.
+  // worker thread. That worker already runs one chunk of an outer region,
+  // whose other chunks keep the rest of the pool busy, so a nested split
+  // runs inline instead of queueing behind them.
   if (workers_.empty() || n == 1 || on_worker_thread()) {
     fn(begin, end, 0);
     return;
   }
 
   const std::size_t chunks = chunk_count(n);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::size_t remaining = chunks;  // guarded by done_mutex
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-
-  auto run_chunk = [&](std::size_t c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    try {
-      if (lo < hi) fn(lo, hi, c);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-    // Decrement and notify under done_mutex: the caller returns (and
-    // destroys these stack-local sync objects) as soon as it sees 0, so no
-    // worker may touch them after its decrement becomes visible.
-    const std::lock_guard<std::mutex> lock(done_mutex);
-    if (--remaining == 0) done_cv.notify_one();
-  };
-
+  const auto region = std::make_shared<ChunkRegion>(begin, end, chunks, &fn);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t c = 1; c < chunks; ++c) {
-      tasks_.push([run_chunk, c] { run_chunk(c); });
+      tasks_.push([region] { region->run(); });
     }
   }
   cv_.notify_all();
-  run_chunk(0);  // caller participates
+  region->run();  // caller participates, then takes what no worker started
 
   {
-    std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&] { return remaining == 0; });
+    std::unique_lock<std::mutex> lock(region->mutex);
+    region->done.wait(lock, [&] { return region->remaining == 0; });
   }
-  if (first_error) std::rethrow_exception(first_error);
+  if (region->first_error) std::rethrow_exception(region->first_error);
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,

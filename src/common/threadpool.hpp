@@ -11,9 +11,13 @@
 //     participates, so all cores are busy). On a single-core host this
 //     degenerates to inline execution.
 //
-// parallel_for / parallel_chunks are re-entrant: a call made from inside a
-// pool worker runs inline on that worker instead of enqueueing (a nested
-// enqueue-and-wait could deadlock once every worker blocks in the wait).
+// parallel_for / parallel_chunks are re-entrant. A call made from inside a
+// pool worker runs inline on that worker. A call from any other thread,
+// including one nested in the caller's own chunk of an outer region, queues
+// one task per extra chunk; the caller and those tasks claim chunk indices
+// from a shared counter, and the caller runs every chunk that no worker has
+// started. So the caller waits only for chunks already running, never
+// behind queued outer chunks, and each slot still runs exactly once.
 #pragma once
 
 #include <condition_variable>

@@ -36,6 +36,10 @@ class BatchNorm2d final : public Module {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  void release_caches() override {
+    normalized_ = Tensor();
+    trained_forward_ = false;
+  }
   std::vector<Parameter*> parameters() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> buffers() override {
     return {&running_mean_, &running_var_};

@@ -29,6 +29,7 @@ class ConvTranspose2d final : public Module {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  void release_caches() override { input_ = Tensor(); }
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override;
 

@@ -13,6 +13,7 @@ class Dropout final : public Module {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  void release_caches() override { mask_ = Tensor(); }
   std::string name() const override { return "Dropout"; }
 
   double drop_probability() const { return p_; }

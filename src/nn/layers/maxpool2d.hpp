@@ -54,6 +54,7 @@ class MaxPool2d final : public Module {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  void release_caches() override { std::vector<std::int64_t>().swap(argmax_); }
   std::string name() const override;
 
  private:

@@ -43,6 +43,12 @@ class Module {
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<Parameter*> parameters() { return {}; }
 
+  /// Drops what the last training forward cached for backward (inputs,
+  /// outputs, masks). Trainers call it when training ends, so a trained
+  /// model holds only its parameters, gradients and buffers; a later
+  /// backward needs a new training forward first.
+  virtual void release_caches() {}
+
   /// Non-learnable persistent state (e.g. BatchNorm running statistics)
   /// that checkpoints must carry alongside the parameters.
   virtual std::vector<Tensor*> buffers() { return {}; }

@@ -26,6 +26,10 @@ Tensor Sequential::backward(const Tensor& grad_output) {
   return g;
 }
 
+void Sequential::release_caches() {
+  for (auto& layer : layers_) layer->release_caches();
+}
+
 std::vector<Parameter*> Sequential::parameters() {
   std::vector<Parameter*> out;
   for (auto& layer : layers_) {

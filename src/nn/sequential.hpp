@@ -17,6 +17,7 @@ class Sequential final : public Module {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  void release_caches() override;
   std::vector<Parameter*> parameters() override;
   std::vector<Tensor*> buffers() override;
   std::string name() const override;

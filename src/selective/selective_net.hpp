@@ -70,6 +70,9 @@ class SelectiveNet {
   /// Zeroes all gradients.
   void zero_grad();
 
+  /// Drops every layer's backward caches (nn::Module::release_caches).
+  void release_caches();
+
   std::vector<nn::Parameter*> parameters();
 
   /// Persistent non-parameter state (BatchNorm running statistics).

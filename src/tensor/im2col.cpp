@@ -1,5 +1,7 @@
 #include "tensor/im2col.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace wm {
@@ -17,8 +19,28 @@ void ConvGeometry::validate() const {
 
 namespace {
 
+/// Output positions [lo, hi) of one kernel tap `k` along one axis whose
+/// input position o*stride + k - pad lies inside [0, size). Outside the
+/// span the tap reads padding, so the loops below fill it without testing
+/// each position.
+struct TapSpan {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+};
+
+TapSpan tap_span(std::int64_t k, std::int64_t size, std::int64_t out,
+                 std::int64_t stride, std::int64_t pad) {
+  const auto ceil_div = [stride](std::int64_t a) {
+    return a <= 0 ? 0 : (a + stride - 1) / stride;
+  };
+  const std::int64_t lo = std::min(out, ceil_div(pad - k));
+  return {lo, std::clamp(ceil_div(size + pad - k), lo, out)};
+}
+
 /// Shared expansion loop; `pad` is the value written for out-of-image taps
-/// (0.0f for float images, the activation zero point for u8 ones).
+/// (0.0f for float images, the activation zero point for u8 ones). Each
+/// (c, kh, kw) row copies the in-bounds span of every in-bounds output row
+/// and fills the rest with `pad`.
 template <typename T>
 void im2col_impl(const ConvGeometry& g, const T* image, T* col, T pad) {
   const std::int64_t oh = g.out_h();
@@ -28,21 +50,27 @@ void im2col_impl(const ConvGeometry& g, const T* image, T* col, T pad) {
   for (std::int64_t c = 0; c < g.channels; ++c) {
     const T* chan = image + c * hw;
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      const TapSpan ys = tap_span(kh, g.height, oh, g.stride, g.pad);
       for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
         T* out_row = col + row * (oh * ow);
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t iy = y * g.stride + kh - g.pad;
+        const TapSpan xs = tap_span(kw, g.width, ow, g.stride, g.pad);
+        const std::int64_t n = xs.hi - xs.lo;
+        // A tap with no in-bounds column reads padding on every row.
+        const TapSpan rows = n > 0 ? ys : TapSpan{};
+        std::fill(out_row, out_row + rows.lo * ow, pad);
+        for (std::int64_t y = rows.lo; y < rows.hi; ++y) {
+          const T* in = chan + (y * g.stride + kh - g.pad) * g.width +
+                        (xs.lo * g.stride + kw - g.pad);
           T* out = out_row + y * ow;
-          if (iy < 0 || iy >= g.height) {
-            for (std::int64_t x = 0; x < ow; ++x) out[x] = pad;
-            continue;
+          std::fill(out, out + xs.lo, pad);
+          if (g.stride == 1) {
+            std::copy(in, in + n, out + xs.lo);
+          } else {
+            for (std::int64_t x = 0; x < n; ++x) out[xs.lo + x] = in[x * g.stride];
           }
-          const T* in_row = chan + iy * g.width;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * g.stride + kw - g.pad;
-            out[x] = (ix >= 0 && ix < g.width) ? in_row[ix] : pad;
-          }
+          std::fill(out + xs.hi, out + ow, pad);
         }
+        std::fill(out_row + rows.hi * ow, out_row + oh * ow, pad);
       }
     }
   }
@@ -64,19 +92,25 @@ void col2im(const ConvGeometry& g, const float* col, float* image) {
   const std::int64_t ow = g.out_w();
   const std::int64_t hw = g.height * g.width;
   std::int64_t row = 0;
+  // Same (c, kh, kw, y, x) order as the expansion, visiting only in-bounds
+  // taps, so every image element receives its contributions in tap order.
   for (std::int64_t c = 0; c < g.channels; ++c) {
     float* chan = image + c * hw;
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      const TapSpan ys = tap_span(kh, g.height, oh, g.stride, g.pad);
       for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
         const float* in_row = col + row * (oh * ow);
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t iy = y * g.stride + kh - g.pad;
-          if (iy < 0 || iy >= g.height) continue;
-          float* out_row = chan + iy * g.width;
-          const float* in = in_row + y * ow;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * g.stride + kw - g.pad;
-            if (ix >= 0 && ix < g.width) out_row[ix] += in[x];
+        const TapSpan xs = tap_span(kw, g.width, ow, g.stride, g.pad);
+        const std::int64_t n = xs.hi - xs.lo;
+        if (n == 0) continue;
+        for (std::int64_t y = ys.lo; y < ys.hi; ++y) {
+          float* out = chan + (y * g.stride + kh - g.pad) * g.width +
+                       (xs.lo * g.stride + kw - g.pad);
+          const float* in = in_row + y * ow + xs.lo;
+          if (g.stride == 1) {
+            for (std::int64_t x = 0; x < n; ++x) out[x] += in[x];
+          } else {
+            for (std::int64_t x = 0; x < n; ++x) out[x * g.stride] += in[x];
           }
         }
       }

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace wm {
@@ -74,6 +78,45 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
       hits[outer * 16 + inner]++;
     });
   });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Regression test: a parallel region nested in the calling thread's own
+// chunk used to queue its sub-chunks behind the outer region's chunks, so
+// the caller blocked until some worker finished a whole outer chunk. Here
+// every worker's outer chunk waits for the caller's nested region to
+// finish; the caller must run the sub-chunks no worker has started. The
+// bounded wait turns the old behaviour into a failure instead of a hang.
+TEST(ThreadPoolTest, CallerRunsUnstartedNestedChunks) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool nested_done = false;  // guarded by mutex
+  std::atomic<int> timed_out{0};
+  std::vector<std::atomic<int>> hits(64);
+  pool.parallel_chunks(
+      0, pool.max_chunks(), [&](std::size_t, std::size_t, std::size_t) {
+        if (std::this_thread::get_id() != caller) {
+          std::unique_lock<std::mutex> lock(mutex);
+          if (!cv.wait_for(lock, std::chrono::seconds(5),
+                           [&] { return nested_done; })) {
+            timed_out++;
+          }
+          return;
+        }
+        {
+          const std::lock_guard<std::mutex> lock(mutex);
+          if (nested_done) return;  // the caller claimed a second chunk
+        }
+        pool.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i]++; });
+        {
+          const std::lock_guard<std::mutex> lock(mutex);
+          nested_done = true;
+        }
+        cv.notify_all();
+      });
+  EXPECT_EQ(timed_out.load(), 0);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 

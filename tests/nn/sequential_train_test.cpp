@@ -1,9 +1,12 @@
 // Integration tests: end-to-end training of small networks.
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/layers/activations.hpp"
+#include "nn/layers/batchnorm2d.hpp"
 #include "nn/layers/conv2d.hpp"
+#include "nn/layers/conv_transpose2d.hpp"
 #include "nn/layers/dropout.hpp"
 #include "nn/layers/flatten.hpp"
 #include "nn/layers/linear.hpp"
@@ -29,6 +32,42 @@ TEST(SequentialTest, ForwardBackwardChains) {
   EXPECT_EQ(y.shape(), Shape({3, 2}));
   const Tensor dx = net.backward(Tensor::ones(Shape{3, 2}));
   EXPECT_EQ(dx.shape(), x.shape());
+}
+
+// A trained model must not keep its last batch's activations alive:
+// release_caches drops everything a training forward cached, so backward
+// needs a new training forward afterwards instead of replaying stale state.
+TEST(ModuleTest, ReleaseCachesDropsBackwardState) {
+  Rng rng(4);
+  std::vector<ModulePtr> layers;
+  layers.push_back(make_layer<Conv2d>(
+      Conv2dOptions{.in_channels = 2, .out_channels = 2, .kernel = 3, .pad = 1},
+      rng));
+  layers.push_back(make_layer<ConvTranspose2d>(
+      ConvTranspose2dOptions{.in_channels = 2, .out_channels = 2, .kernel = 3,
+                             .pad = 1},
+      rng));
+  layers.push_back(make_layer<BatchNorm2d>(BatchNorm2dOptions{.channels = 2}));
+  layers.push_back(make_layer<ReLU>());
+  layers.push_back(make_layer<Sigmoid>());
+  layers.push_back(make_layer<Tanh>());
+  layers.push_back(make_layer<MaxPool2d>(2));
+  layers.push_back(make_layer<Dropout>(0.5, rng));
+  const Tensor x = Tensor::normal(Shape{3, 2, 4, 4}, rng);
+  for (auto& layer : layers) {
+    SCOPED_TRACE(layer->name());
+    const Tensor dy = Tensor::ones(layer->forward(x, /*training=*/true).shape());
+    layer->release_caches();
+    EXPECT_THROW(layer->backward(dy), Error);
+    layer->forward(x, /*training=*/true);
+    EXPECT_EQ(layer->backward(dy).shape(), x.shape());
+  }
+  Sequential mlp;
+  mlp.add(make_layer<Linear>(4, 3, rng)).add(make_layer<ReLU>());
+  const Tensor v = Tensor::normal(Shape{5, 4}, rng);
+  mlp.forward(v, /*training=*/true);
+  mlp.release_caches();
+  EXPECT_THROW(mlp.backward(Tensor::ones(Shape{5, 3})), Error);
 }
 
 TEST(SequentialTest, NameListsLayers) {

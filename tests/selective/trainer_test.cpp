@@ -44,6 +44,23 @@ TEST(SelectiveTrainerTest, CrossEntropyModeLearnsEasyClasses) {
   EXPECT_FLOAT_EQ(log.final_epoch().coverage, 1.0f);
 }
 
+// train() releases the last batch's backward caches, so the trained net
+// carries only its parameters, gradients and buffers into calibration,
+// quantization and serving.
+TEST(SelectiveTrainerTest, TrainedNetKeepsNoBackwardCaches) {
+  Rng rng(5);
+  SelectiveNet net({.map_size = 16, .num_classes = 9, .conv1_filters = 8,
+                    .conv2_filters = 8, .conv3_filters = 8, .fc_units = 32,
+                    .use_batchnorm = true},
+                   rng);
+  const Dataset train = easy_dataset(6, 6);
+  SelectiveTrainer trainer({.epochs = 1, .batch_size = 9});
+  trainer.train(net, train, nullptr, rng);
+  const Tensor grad_logits(Shape{9, 9});
+  const Tensor grad_g(Shape{9, 1});
+  EXPECT_THROW(net.backward(grad_logits, grad_g), Error);
+}
+
 TEST(SelectiveTrainerTest, SelectiveModeTrainsBothHeads) {
   Rng rng(3);
   SelectiveNet net(tiny_net(), rng);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
@@ -108,6 +110,131 @@ TEST(Col2ImTest, OverlapAccumulates) {
   EXPECT_FLOAT_EQ(back[0], 1.0f);
   EXPECT_FLOAT_EQ(back[1], 4.0f);  // appears in both windows
   EXPECT_FLOAT_EQ(back[2], 3.0f);
+}
+
+
+// The per-tap lowering loops the optimized ones replaced: every tap tests
+// both bounds. Kept as the reference for the sweep below.
+template <typename T>
+void naive_im2col(const ConvGeometry& g, const T* image, T* col, T pad) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  std::int64_t row = 0;
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    const T* chan = image + c * g.height * g.width;
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
+        for (std::int64_t y = 0; y < oh; ++y) {
+          const std::int64_t iy = y * g.stride + kh - g.pad;
+          for (std::int64_t x = 0; x < ow; ++x) {
+            const std::int64_t ix = x * g.stride + kw - g.pad;
+            const bool in = iy >= 0 && iy < g.height && ix >= 0 && ix < g.width;
+            col[row * oh * ow + y * ow + x] = in ? chan[iy * g.width + ix] : pad;
+          }
+        }
+      }
+    }
+  }
+}
+
+void naive_col2im(const ConvGeometry& g, const float* col, float* image) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  std::int64_t row = 0;
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    float* chan = image + c * g.height * g.width;
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
+        for (std::int64_t y = 0; y < oh; ++y) {
+          const std::int64_t iy = y * g.stride + kh - g.pad;
+          if (iy < 0 || iy >= g.height) continue;
+          for (std::int64_t x = 0; x < ow; ++x) {
+            const std::int64_t ix = x * g.stride + kw - g.pad;
+            if (ix >= 0 && ix < g.width) {
+              chan[iy * g.width + ix] += col[row * oh * ow + y * ow + x];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+float uniform(Rng& rng) { return static_cast<float>(rng.uniform(-1.0, 1.0)); }
+
+bool is_valid(const ConvGeometry& g) {
+  try {
+    g.validate();
+    return true;
+  } catch (const ShapeError&) {
+    return false;
+  }
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// Sweeps channels, non-square images, non-square kernels, strides and pads
+// up to the kernel size (including pads wider than the image, where some
+// kernel columns never touch it) and compares all three lowerings with the
+// per-tap reference bit for bit.
+TEST(Im2ColTest, MatchesPerTapReferenceAcrossGeometries) {
+  Rng rng(21);
+  int checked = 0;
+  for (std::int64_t c : {1, 3}) {
+    for (std::int64_t h = 1; h <= 16; h += (h < 6 ? 1 : 5)) {
+      for (std::int64_t w = 1; w <= 16; w += (w < 6 ? 1 : 4)) {
+        for (std::int64_t kh = 1; kh <= 5; ++kh) {
+          for (std::int64_t kw = 1; kw <= 5; kw += 2) {
+            for (std::int64_t s = 1; s <= 3; ++s) {
+              for (std::int64_t p = 0; p <= std::max(kh, kw); ++p) {
+                const ConvGeometry g{.channels = c, .height = h, .width = w,
+                                     .kernel_h = kh, .kernel_w = kw,
+                                     .stride = s, .pad = p};
+                if (!is_valid(g)) continue;
+                SCOPED_TRACE(::testing::Message()
+                             << "C=" << c << " H=" << h << " W=" << w
+                             << " k=" << kh << "x" << kw << " s=" << s
+                             << " p=" << p);
+                const auto img_n = static_cast<std::size_t>(c * h * w);
+                const auto col_n =
+                    static_cast<std::size_t>(g.col_rows() * g.col_cols());
+
+                std::vector<float> img(img_n);
+                for (float& v : img) v = uniform(rng);
+                std::vector<float> col(col_n, -1.0f);
+                std::vector<float> want(col_n);
+                im2col(g, img.data(), col.data());
+                naive_im2col(g, img.data(), want.data(), 0.0f);
+                ASSERT_TRUE(same_bytes(col, want));
+
+                std::vector<std::uint8_t> qimg(img_n);
+                for (auto& v : qimg) v = static_cast<std::uint8_t>(rng.next_u64());
+                std::vector<std::uint8_t> qcol(col_n, 0);
+                std::vector<std::uint8_t> qwant(col_n);
+                im2col_u8(g, qimg.data(), qcol.data(), 17);
+                naive_im2col<std::uint8_t>(g, qimg.data(), qwant.data(), 17);
+                ASSERT_TRUE(same_bytes(qcol, qwant));
+
+                for (float& v : col) v = uniform(rng);
+                std::vector<float> back(img_n);
+                for (float& v : back) v = uniform(rng);
+                std::vector<float> back_want = back;
+                col2im(g, col.data(), back.data());
+                naive_col2im(g, col.data(), back_want.data());
+                ASSERT_TRUE(same_bytes(back, back_want));
+                ++checked;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000);
 }
 
 }  // namespace
