@@ -49,9 +49,12 @@ class ThreadPool {
   /// Upper bound on concurrently running chunks (workers + caller).
   std::size_t max_chunks() const { return workers_.size() + 1; }
 
-  /// Number of chunks parallel_chunks() will use for a range of n items.
+  /// Number of chunks parallel_chunks() will use for a range of n items on
+  /// the calling thread: at most one from inside a worker, which runs nested
+  /// calls inline.
   std::size_t chunk_count(std::size_t n) const {
-    return n < max_chunks() ? n : max_chunks();
+    const std::size_t limit = on_worker_thread() ? 1 : max_chunks();
+    return n < limit ? n : limit;
   }
 
   /// Runs fn(i) for i in [begin, end), partitioned into contiguous chunks,

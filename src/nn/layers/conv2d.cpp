@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
 #include "nn/init.hpp"
+#include "nn/layers/conv_grad.hpp"
 #include "tensor/gemm.hpp"
 
 namespace wm::nn {
@@ -90,55 +91,44 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       static_cast<std::size_t>(g.col_rows() * g.col_cols());
   Tensor grad_input(input_.shape());
 
-  // Each image of a chunk contributes, in batch order, to that chunk's
-  // private dW/db accumulators (slot 0 accumulates straight into the
-  // parameter gradients, so a single chunk reproduces the serial order
-  // bit-for-bit); the remaining slots are reduced in slot order below.
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t chunks = pool.chunk_count(static_cast<std::size_t>(n));
-  const std::size_t wsize = static_cast<std::size_t>(weight_.grad.numel());
-  const std::size_t bsize = static_cast<std::size_t>(bias_.grad.numel());
-  std::vector<float> dw_slots(chunks > 1 ? (chunks - 1) * wsize : 0, 0.0f);
-  std::vector<float> db_slots(chunks > 1 ? (chunks - 1) * bsize : 0, 0.0f);
+  float* dw = weight_.grad.data();
+  float* db = bias_.grad.data();
+  // dX_i: dcol (R x spatial) = W^T (R x OC) * dY_i (OC x spatial), col2im.
+  const auto grad_input_image = [&](std::int64_t i, float* dcol) {
+    sgemm_at(g.col_rows(), spatial, opts_.out_channels, 1.0f,
+             weight_.value.data(), grad_output.data() + i * out_image, 0.0f,
+             dcol);
+    col2im(g, dcol, grad_input.data() + i * in_image);
+  };
 
-  pool.parallel_chunks(
-      0, static_cast<std::size_t>(n),
-      [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-        float* dw = slot == 0 ? weight_.grad.data()
-                              : dw_slots.data() + (slot - 1) * wsize;
-        float* db = slot == 0 ? bias_.grad.data()
-                              : db_slots.data() + (slot - 1) * bsize;
-        std::vector<float> col(col_size);
-        std::vector<float> dcol(col_size);
-        for (std::size_t ii = lo; ii < hi; ++ii) {
-          const std::int64_t i = static_cast<std::int64_t>(ii);
-          const float* dy = grad_output.data() + i * out_image;
-          // dW (OC x R) += dY_i (OC x spatial) * col_i^T (spatial x R)
-          im2col(g, input_.data() + i * in_image, col.data());
-          sgemm_bt(opts_.out_channels, g.col_rows(), spatial, 1.0f, dy,
-                   col.data(), 1.0f, dw);
-          // db += per-channel sums of dY
-          for (std::int64_t oc = 0; oc < opts_.out_channels; ++oc) {
-            const float* chan = dy + oc * spatial;
-            float acc = 0.0f;
-            for (std::int64_t s = 0; s < spatial; ++s) acc += chan[s];
-            db[oc] += acc;
-          }
-          // dcol (R x spatial) = W^T (R x OC) * dY_i (OC x spatial)
-          sgemm_at(g.col_rows(), spatial, opts_.out_channels, 1.0f,
-                   weight_.value.data(), dy, 0.0f, dcol.data());
-          col2im(g, dcol.data(), grad_input.data() + i * in_image);
-        }
-      });
-
-  for (std::size_t slot = 1; slot < chunks; ++slot) {
-    const float* dw = dw_slots.data() + (slot - 1) * wsize;
-    const float* db = db_slots.data() + (slot - 1) * bsize;
-    float* wgrad = weight_.grad.data();
-    float* bgrad = bias_.grad.data();
-    for (std::size_t i = 0; i < wsize; ++i) wgrad[i] += dw[i];
-    for (std::size_t i = 0; i < bsize; ++i) bgrad[i] += db[i];
+  // dW and db take each image's contribution in batch order on any pool
+  // size (conv_grad.hpp). With one chunk (no workers, one image, or a call
+  // from inside a pool worker) one loop does all of an image's work.
+  if (ThreadPool::global().chunk_count(static_cast<std::size_t>(n)) <= 1) {
+    std::vector<float> col(col_size);
+    std::vector<float> dcol(col_size);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float* dy = grad_output.data() + i * out_image;
+      // dW (OC x R) += dY_i (OC x spatial) * col_i^T (spatial x R)
+      im2col(g, input_.data() + i * in_image, col.data());
+      sgemm_bt(opts_.out_channels, g.col_rows(), spatial, 1.0f, dy,
+               col.data(), 1.0f, dw);
+      detail::add_channel_sums(opts_.out_channels, spatial, dy, db);
+      grad_input_image(i, dcol.data());
+    }
+    return grad_input;
   }
+  detail::run_split_backward(
+      n, col_size,
+      [&](std::size_t part, std::size_t parts) {
+        detail::accumulate_weight_grad(g, n, opts_.out_channels,
+                                       grad_output.data(), out_image,
+                                       input_.data(), in_image, dw, part,
+                                       parts);
+        detail::accumulate_bias_grad(n, opts_.out_channels, spatial,
+                                     grad_output.data(), db, part, parts);
+      },
+      grad_input_image);
   return grad_input;
 }
 

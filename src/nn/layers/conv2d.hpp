@@ -1,11 +1,12 @@
 // 2-D convolution over (N, C, H, W) batches, lowered to GEMM via im2col.
 //
 // forward() fans the batch out across ThreadPool::global() and runs
-// forward_image() on each image; every chunk owns its im2col scratch (and,
-// in backward, its own dW/db accumulators), so forward in eval mode is
-// reentrant and the layer is safe to call concurrently from the selective
-// predictor. The input cache needed by backward is only captured when
-// training.
+// forward_image() on each image; every chunk owns its im2col scratch, so
+// forward in eval mode is reentrant and the layer is safe to call
+// concurrently from the selective predictor. backward() adds each image's
+// dW/db contribution in batch order on any pool size (conv_grad.hpp), so
+// training is bit-identical for every thread count. The input cache needed
+// by backward is only captured when training.
 #pragma once
 
 #include "nn/module.hpp"

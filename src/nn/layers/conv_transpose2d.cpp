@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
 #include "nn/init.hpp"
+#include "nn/layers/conv_grad.hpp"
 #include "tensor/gemm.hpp"
 
 namespace wm::nn {
@@ -111,54 +112,39 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
   const std::size_t col_size =
       static_cast<std::size_t>(g.col_rows() * g.col_cols());
 
-  // Per-chunk dW/db accumulators, reduced in slot order; slot 0 writes the
-  // parameter gradients directly so a single chunk keeps the serial
-  // accumulation order bit-for-bit (see Conv2d::backward).
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t chunks = pool.chunk_count(static_cast<std::size_t>(n));
-  const std::size_t wsize = static_cast<std::size_t>(weight_.grad.numel());
-  const std::size_t bsize = static_cast<std::size_t>(bias_.grad.numel());
-  std::vector<float> dw_slots(chunks > 1 ? (chunks - 1) * wsize : 0, 0.0f);
-  std::vector<float> db_slots(chunks > 1 ? (chunks - 1) * bsize : 0, 0.0f);
+  float* dw = weight_.grad.data();
+  float* db = bias_.grad.data();
+  // dX_i (IC x spatial) = W (IC x OC*K*K) * col (OC*K*K x spatial), with
+  // col = im2col(dY_i) over the output geometry.
+  const auto grad_input_image = [&](std::int64_t i, float* col) {
+    im2col(g, grad_output.data() + i * out_image, col);
+    sgemm(opts_.in_channels, spatial, g.col_rows(), 1.0f,
+          weight_.value.data(), col, 0.0f, grad_input.data() + i * in_image);
+  };
 
-  pool.parallel_chunks(
-      0, static_cast<std::size_t>(n),
-      [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-        float* dw = slot == 0 ? weight_.grad.data()
-                              : dw_slots.data() + (slot - 1) * wsize;
-        float* db = slot == 0 ? bias_.grad.data()
-                              : db_slots.data() + (slot - 1) * bsize;
-        std::vector<float> col(col_size);
-        for (std::size_t ii = lo; ii < hi; ++ii) {
-          const std::int64_t i = static_cast<std::int64_t>(ii);
-          const float* dy = grad_output.data() + i * out_image;
-          // col = im2col(dY_i) over the output geometry.
-          im2col(g, dy, col.data());
-          // dX_i (IC x spatial) = W (IC x OC*K*K) * col (OC*K*K x spatial)
-          sgemm(opts_.in_channels, spatial, g.col_rows(), 1.0f,
-                weight_.value.data(), col.data(), 0.0f,
-                grad_input.data() + i * in_image);
-          // dW (IC x OC*K*K) += X_i (IC x spatial) * col^T (spatial x OC*K*K)
-          sgemm_bt(opts_.in_channels, g.col_rows(), spatial, 1.0f,
-                   input_.data() + i * in_image, col.data(), 1.0f, dw);
-          // db += per-output-channel sums of dY
-          for (std::int64_t oc = 0; oc < opts_.out_channels; ++oc) {
-            const float* chan = dy + oc * oh * ow;
-            float acc = 0.0f;
-            for (std::int64_t s = 0; s < oh * ow; ++s) acc += chan[s];
-            db[oc] += acc;
-          }
-        }
-      });
-
-  for (std::size_t slot = 1; slot < chunks; ++slot) {
-    const float* dw = dw_slots.data() + (slot - 1) * wsize;
-    const float* db = db_slots.data() + (slot - 1) * bsize;
-    float* wgrad = weight_.grad.data();
-    float* bgrad = bias_.grad.data();
-    for (std::size_t i = 0; i < wsize; ++i) wgrad[i] += dw[i];
-    for (std::size_t i = 0; i < bsize; ++i) bgrad[i] += db[i];
+  // Batch-order dW/db on any pool size, as in Conv2d::backward.
+  if (ThreadPool::global().chunk_count(static_cast<std::size_t>(n)) <= 1) {
+    std::vector<float> col(col_size);
+    for (std::int64_t i = 0; i < n; ++i) {
+      grad_input_image(i, col.data());
+      // dW (IC x OC*K*K) += X_i (IC x spatial) * col^T (spatial x OC*K*K)
+      sgemm_bt(opts_.in_channels, g.col_rows(), spatial, 1.0f,
+               input_.data() + i * in_image, col.data(), 1.0f, dw);
+      detail::add_channel_sums(opts_.out_channels, oh * ow,
+                               grad_output.data() + i * out_image, db);
+    }
+    return grad_input;
   }
+  detail::run_split_backward(
+      n, col_size,
+      [&](std::size_t part, std::size_t parts) {
+        detail::accumulate_weight_grad(g, n, opts_.in_channels, input_.data(),
+                                       in_image, grad_output.data(),
+                                       out_image, dw, part, parts);
+        detail::accumulate_bias_grad(n, opts_.out_channels, oh * ow,
+                                     grad_output.data(), db, part, parts);
+      },
+      grad_input_image);
   return grad_input;
 }
 

@@ -176,6 +176,25 @@ TEST(ThreadPoolTest, ParallelChunksSerialIsSingleChunk) {
   EXPECT_EQ(calls, 1);
 }
 
+// chunk_count() answers for the calling thread: a worker runs nested
+// regions inline, so it reports one chunk, while any other thread reports
+// the pool's split. Conv backward keys its serial loop off this.
+TEST(ThreadPoolTest, ChunkCountIsOneOnAWorker) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> counts(pool.max_chunks(), 0);
+  std::vector<bool> on_caller(pool.max_chunks(), false);
+  pool.parallel_chunks(0, pool.max_chunks(),
+                       [&](std::size_t, std::size_t, std::size_t slot) {
+                         counts[slot] = pool.chunk_count(100);
+                         on_caller[slot] = std::this_thread::get_id() == caller;
+                       });
+  for (std::size_t slot = 0; slot < counts.size(); ++slot) {
+    EXPECT_EQ(counts[slot], on_caller[slot] ? 4u : 1u) << "slot " << slot;
+  }
+  EXPECT_EQ(pool.chunk_count(0), 0u);
+}
+
 TEST(ThreadPoolTest, GlobalPoolSingleton) {
   ThreadPool& a = ThreadPool::global();
   ThreadPool& b = ThreadPool::global();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -117,8 +118,8 @@ TEST(Conv2dTest, TranslationEquivariance) {
 }
 
 // The batch fan-out must not change results: forward partitions output
-// images whole (bit-exact), backward reduces per-chunk dW/db slots (float
-// tolerance vs the serial order).
+// images whole, and backward adds each image's dW/db contribution in batch
+// order whatever the pool size, so everything is bit-exact.
 TEST(Conv2dTest, ParallelMatchesSerial) {
   auto run = [](std::size_t total_threads, Tensor* dx, Tensor* dw,
                 Tensor* db) {
@@ -143,11 +144,40 @@ TEST(Conv2dTest, ParallelMatchesSerial) {
   const Tensor y4 = run(4, &dx4, &dw4, &db4);
   for (std::int64_t i = 0; i < y1.numel(); ++i) ASSERT_EQ(y1[i], y4[i]);
   for (std::int64_t i = 0; i < dx1.numel(); ++i) ASSERT_EQ(dx1[i], dx4[i]);
-  for (std::int64_t i = 0; i < dw1.numel(); ++i) {
-    ASSERT_NEAR(dw1[i], dw4[i], 1e-4f * (1.0f + std::abs(dw1[i])));
-  }
-  for (std::int64_t i = 0; i < db1.numel(); ++i) {
-    ASSERT_NEAR(db1[i], db4[i], 1e-4f * (1.0f + std::abs(db1[i])));
+  for (std::int64_t i = 0; i < dw1.numel(); ++i) ASSERT_EQ(dw1[i], dw4[i]);
+  for (std::int64_t i = 0; i < db1.numel(); ++i) ASSERT_EQ(db1[i], db4[i]);
+}
+
+// A wide layer (16 * 3 * 3 = 144 dW columns) splits dW by column runs, and
+// the runs' channel boundaries move with the pool size; gradients already
+// in dW (a second backward without zero_grad) must be carried through too.
+TEST(Conv2dTest, ColumnSplitBackwardMatchesSerialOnEveryPoolSize) {
+  auto run = [](std::size_t total_threads) {
+    ThreadPool::configure_global(total_threads);
+    Rng rng(11);
+    Conv2d conv({.in_channels = 16, .out_channels = 12, .kernel = 3,
+                 .stride = 1, .pad = 1},
+                rng);
+    const Tensor x = Tensor::normal(Shape{7, 16, 9, 9}, rng);
+    const Tensor y = conv.forward(x, true);
+    const Tensor dy = Tensor::normal(y.shape(), rng);
+    conv.zero_grad();
+    conv.backward(dy);
+    std::vector<Tensor> out{conv.backward(dy)};
+    for (Parameter* p : conv.parameters()) out.push_back(p->grad);
+    ThreadPool::configure_global(0);
+    return out;
+  };
+  const std::vector<Tensor> serial = run(1);
+  for (std::size_t threads : {2u, 3u, 4u}) {
+    const std::vector<Tensor> threaded = run(threads);
+    for (std::size_t t = 0; t < serial.size(); ++t) {
+      ASSERT_EQ(serial[t].shape(), threaded[t].shape());
+      for (std::int64_t i = 0; i < serial[t].numel(); ++i) {
+        ASSERT_EQ(serial[t][i], threaded[t][i])
+            << "threads " << threads << " tensor " << t << " index " << i;
+      }
+    }
   }
 }
 

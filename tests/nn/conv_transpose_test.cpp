@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/threadpool.hpp"
 #include "gradcheck.hpp"
 #include "nn/layers/conv2d.hpp"
 
@@ -103,6 +106,51 @@ TEST(ConvTransposeTest, RejectsWrongChannels) {
                      .stride = 2, .pad = 0},
                     rng);
   EXPECT_THROW(t.forward(Tensor(Shape{1, 3, 4, 4}), true), ShapeError);
+}
+
+// The CAE decoder's backward adds each image's dW/db contribution in batch
+// order on any pool size, like Conv2d's: y, dx, dW and db are bit-equal to
+// the serial run. The two layers cover both ways dW is split: 6 * 5 * 5 =
+// 150 columns split by column runs, 1 * 3 * 3 = 9 columns by rows.
+TEST(ConvTranspose2dTest, ParallelMatchesSerial) {
+  struct Case {
+    ConvTranspose2dOptions opts;
+    std::int64_t size;
+  };
+  const Case cases[] = {
+      {{.in_channels = 4, .out_channels = 6, .kernel = 5, .stride = 1,
+        .pad = 2},
+       8},
+      {{.in_channels = 10, .out_channels = 1, .kernel = 3, .stride = 2,
+        .pad = 1},
+       6},
+  };
+  for (const Case& c : cases) {
+    auto run = [&](std::size_t total_threads) {
+      ThreadPool::configure_global(total_threads);
+      Rng rng(12);
+      ConvTranspose2d t(c.opts, rng);
+      const Tensor x =
+          Tensor::normal(Shape{9, c.opts.in_channels, c.size, c.size}, rng);
+      std::vector<Tensor> out{t.forward(x, true)};
+      const Tensor dy = Tensor::normal(out[0].shape(), rng);
+      t.zero_grad();
+      out.push_back(t.backward(dy));
+      for (Parameter* p : t.parameters()) out.push_back(p->grad);
+      ThreadPool::configure_global(0);
+      return out;
+    };
+    const std::vector<Tensor> serial = run(1);
+    const std::vector<Tensor> threaded = run(4);
+    for (std::size_t k = 0; k < serial.size(); ++k) {
+      ASSERT_EQ(serial[k].shape(), threaded[k].shape());
+      for (std::int64_t i = 0; i < serial[k].numel(); ++i) {
+        ASSERT_EQ(serial[k][i], threaded[k][i])
+            << "out_channels " << c.opts.out_channels << " tensor " << k
+            << " index " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
