@@ -45,7 +45,8 @@ eval::ExperimentConfig reduced_config() {
   config.data_scale *= 0.6;
   config.augment_target = std::max(20, config.augment_target / 2);
   config.net = {.map_size = 16, .num_classes = 9, .conv1_filters = 32,
-                .conv2_filters = 16, .conv3_filters = 16, .fc_units = 128};
+                .conv2_filters = 16, .conv3_filters = 16, .fc_units = 128,
+                .use_batchnorm = config.net.use_batchnorm};
   config.augmentation.cae = {.map_size = 16, .encoder_filters = {16, 8},
                              .kernel = 5};
   return config;

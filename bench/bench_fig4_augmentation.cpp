@@ -4,10 +4,12 @@
 // For each defect class we train a per-class convolutional auto-encoder and
 // print one original next to one synthetic wafer, plus distributional
 // statistics showing the synthetics stay close to the class.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "augment/augmentor.hpp"
-#include "common/config.hpp"
+#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "wafermap/io_pgm.hpp"
@@ -32,16 +34,19 @@ void print_pair(const WaferMap& orig, const WaferMap& synth) {
 int main() {
   std::printf("=== Fig 4: CAE data augmentation, original vs synthetic ===\n\n");
   const double scale = bench_scale();
+  const auto scaled = [scale](int n, int min_value) {
+    return std::max(min_value, static_cast<int>(std::lround(n * scale)));
+  };
   Rng rng(2021);
   const int size = 24;
-  const int n_originals = scaled(16, scale, 8);
+  const int n_originals = scaled(16, 8);
 
   augment::AugmentOptions opts;
   opts.target_per_class = 3 * n_originals;
   opts.sigma0 = 0.2;
   opts.sp_flips = 4;
   opts.cae = {.map_size = size, .encoder_filters = {16, 8}, .kernel = 5};
-  opts.cae_training = {.epochs = scaled(15, scale, 6), .batch_size = 8,
+  opts.cae_training = {.epochs = scaled(15, 6), .batch_size = 8,
                        .learning_rate = 2e-3};
   augment::Augmentor augmentor(opts);
 

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
+#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/threadpool.hpp"
@@ -161,10 +161,12 @@ void print_json(const std::vector<RunResult>& rows, int map_size,
 
 int main(int argc, char** argv) {
   const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
-  Config env;
-  const int map_size = env.get_int("quant_map", 64);
+  const int map_size =
+      static_cast<int>(env_int("WM_QUANT_MAP", 8, 256).value_or(64));
   const int wafers = std::max(
-      16, static_cast<int>(env.get_int("quant_wafers", 192) * bench_scale()));
+      16, static_cast<int>(
+              env_int("WM_QUANT_WAFERS", 1, 1'000'000).value_or(192) *
+              bench_scale()));
   const int reps = 3;
 
   Rng rng(7);

@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/config.hpp"
+#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/threadpool.hpp"
@@ -109,9 +109,9 @@ RunResult run_engine(const Classifier& predictor,
   r.throughput_rps = static_cast<double>(r.requests) / r.wall_s;
   const serve::EngineStats stats = engine.stats();
   r.mean_batch = stats.mean_batch_size();
-  r.p50_us = stats.latency.quantile_us(0.50);
-  r.p95_us = stats.latency.quantile_us(0.95);
-  r.p99_us = stats.latency.quantile_us(0.99);
+  r.p50_us = stats.latency.quantile(0.50);
+  r.p95_us = stats.latency.quantile(0.95);
+  r.p99_us = stats.latency.quantile(0.99);
   return r;
 }
 
@@ -163,12 +163,14 @@ void print_json(const std::vector<RunResult>& rows, int map_size,
 
 int main(int argc, char** argv) {
   const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
-  Config env;
-  const int map_size = env.get_int("serve_map", 64);
-  const int per_producer =
-      std::max(1, static_cast<int>(env.get_int("serve_requests", 24) *
-                                   bench_scale()));
-  const int max_producers = env.get_int("serve_producers", 8);
+  const int map_size =
+      static_cast<int>(env_int("WM_SERVE_MAP", 8, 256).value_or(64));
+  const int per_producer = std::max(
+      1, static_cast<int>(
+             env_int("WM_SERVE_REQUESTS", 1, 1'000'000).value_or(24) *
+             bench_scale()));
+  const int max_producers =
+      static_cast<int>(env_int("WM_SERVE_PRODUCERS", 1, 256).value_or(8));
 
   Rng rng(7);
   selective::SelectiveNetOptions nopts;  // Table I at full width

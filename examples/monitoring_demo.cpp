@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "obs/http_exporter.hpp"
 #include "obs/metrics.hpp"
@@ -76,9 +77,12 @@ int main(int argc, char** argv) {
   int port = 0;
   int serve_seconds = 0;
   for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--port") == 0) port = std::atoi(argv[i + 1]);
+    if (std::strcmp(argv[i], "--port") == 0) {
+      port = static_cast<int>(flag_int("--port", argv[i + 1], 0, 65535));
+    }
     if (std::strcmp(argv[i], "--serve-seconds") == 0) {
-      serve_seconds = std::atoi(argv[i + 1]);
+      serve_seconds =
+          static_cast<int>(flag_int("--serve-seconds", argv[i + 1]));
     }
   }
 

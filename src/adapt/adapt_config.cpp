@@ -4,48 +4,26 @@
 
 namespace wm::adapt {
 
-namespace {
-
-/// explicit field > env var (hardened) > default.
-template <typename T>
-T pick(const std::optional<T>& field, const char* env_name, std::int64_t lo,
-       std::int64_t hi, T fallback) {
-  if (field) return *field;
-  if (const auto v = env_int(env_name, lo, hi)) return static_cast<T>(*v);
-  return fallback;
-}
-
-}  // namespace
-
 AdaptConfig::Resolved AdaptConfig::resolve() const {
   Resolved r;
-  r.buffer_capacity = pick<std::size_t>(buffer_capacity, "WM_ADAPT_BUFFER", 16,
-                                        1'000'000, 1024);
-  r.min_samples = pick<std::size_t>(min_samples, "WM_ADAPT_MIN_SAMPLES", 8,
-                                    1'000'000, 64);
-  r.refit_window = pick<std::size_t>(refit_window, "WM_ADAPT_REFIT_WINDOW", 8,
-                                     1'000'000, 256);
-  r.cooldown_ms = pick<std::int64_t>(cooldown_ms, "WM_ADAPT_COOLDOWN_MS", 0,
-                                     10'000'000, 5000);
-  r.eval_ms =
-      pick<std::int64_t>(eval_ms, "WM_ADAPT_EVAL_MS", 1, 10'000'000, 2000);
-  r.backoff_max_ms = pick<std::int64_t>(backoff_max_ms, "WM_ADAPT_BACKOFF_MAX_MS",
-                                        1, 100'000'000, 60000);
-  r.fine_tune_epochs = pick(fine_tune_epochs, "WM_ADAPT_EPOCHS", 1, 1000, 4);
-  r.fine_tune_batch = pick(fine_tune_batch, "WM_ADAPT_BATCH", 1, 4096, 32);
-  r.fine_tune_lr = fine_tune_lr.value_or(5e-4);
-  r.augment_target =
-      pick(augment_target, "WM_ADAPT_AUGMENT_TARGET", 0, 100'000, 0);
-  r.cae_epochs = pick(cae_epochs, "WM_ADAPT_CAE_EPOCHS", 1, 1000, 8);
-  if (use_pseudo_labels) {
-    r.use_pseudo_labels = *use_pseudo_labels;
-  } else if (const auto v = env_int("WM_ADAPT_PSEUDO_LABELS", 0, 1)) {
-    r.use_pseudo_labels = *v != 0;
-  }
-  r.max_retrains = pick<std::uint32_t>(max_retrains, "WM_ADAPT_MAX_RETRAINS", 0,
-                                       1'000'000, 8);
-  r.seed = pick<std::uint32_t>(seed, "WM_ADAPT_SEED", 0,
-                               std::int64_t{1} << 31, 17);
+  overlay(r.buffer_capacity, buffer_capacity, "WM_ADAPT_BUFFER", 16,
+          1'000'000);
+  overlay(r.min_samples, min_samples, "WM_ADAPT_MIN_SAMPLES", 8, 1'000'000);
+  overlay(r.refit_window, refit_window, "WM_ADAPT_REFIT_WINDOW", 8,
+          1'000'000);
+  overlay(r.cooldown_ms, cooldown_ms, "WM_ADAPT_COOLDOWN_MS", 0, 10'000'000);
+  overlay(r.eval_ms, eval_ms, "WM_ADAPT_EVAL_MS", 1, 10'000'000);
+  overlay(r.backoff_max_ms, backoff_max_ms, "WM_ADAPT_BACKOFF_MAX_MS", 1,
+          100'000'000);
+  overlay(r.fine_tune_epochs, fine_tune_epochs, "WM_ADAPT_EPOCHS", 1, 1000);
+  overlay(r.fine_tune_batch, fine_tune_batch, "WM_ADAPT_BATCH", 1, 4096);
+  if (fine_tune_lr) r.fine_tune_lr = *fine_tune_lr;
+  overlay(r.augment_target, augment_target, "WM_ADAPT_AUGMENT_TARGET", 0,
+          100'000);
+  overlay(r.cae_epochs, cae_epochs, "WM_ADAPT_CAE_EPOCHS", 1, 1000);
+  overlay(r.use_pseudo_labels, use_pseudo_labels, "WM_ADAPT_PSEUDO_LABELS");
+  overlay(r.max_retrains, max_retrains, "WM_ADAPT_MAX_RETRAINS", 0, 1'000'000);
+  overlay(r.seed, seed, "WM_ADAPT_SEED", 0, std::int64_t{1} << 31);
   return r;
 }
 

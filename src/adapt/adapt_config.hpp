@@ -1,15 +1,15 @@
-// adapt::AdaptConfig — one aggregated configuration for the closed-loop
-// drift-adaptation controller, following the serve::ServerConfig pattern:
-// every knob resolves with the precedence rule
+// adapt::AdaptConfig — one configuration for the closed-loop
+// drift-adaptation controller. Every knob resolves with the precedence rule
 //
-//   explicit field  >  environment variable  >  built-in default
+//   explicit field  >  environment variable  >  default
 //
-// Fields are std::optional; unset fields fall through to their hardened env
-// var (common/env.hpp — malformed values warn and fall through, never
-// half-apply) and then to the default. resolve() produces the plain-value
-// view the AdaptationController consumes.
+// Fields are std::optional. resolve() starts from Resolved{}, whose
+// initialisers are the only copy of the defaults, and overlays each set
+// field, else its env var (common/env.hpp: malformed or out-of-range values
+// warn and keep the default, never half-apply). The AdaptationController
+// consumes the resulting plain values.
 //
-// Environment variables (all hardened, all optional):
+// Environment variables (all optional):
 //   WM_ADAPT_BUFFER           sample-buffer capacity        [16, 10^6]
 //   WM_ADAPT_MIN_SAMPLES      samples required to act       [8, 10^6]
 //   WM_ADAPT_REFIT_WINDOW     recent g-scores for re-fit    [8, 10^6]
@@ -20,9 +20,9 @@
 //   WM_ADAPT_BATCH            fine-tune batch size          [1, 4096]
 //   WM_ADAPT_AUGMENT_TARGET   CAE-augment per-class target  [0, 10^5] (0=off)
 //   WM_ADAPT_CAE_EPOCHS       CAE training epochs           [1, 1000]
-//   WM_ADAPT_PSEUDO_LABELS    pseudo-label unlabeled (0/1)
+//   WM_ADAPT_PSEUDO_LABELS    pseudo-label unlabeled        (boolean)
 //   WM_ADAPT_MAX_RETRAINS     lifetime retrain cap          [0, 10^6]
-//   WM_ADAPT_SEED             controller RNG seed           [0, 2^31)
+//   WM_ADAPT_SEED             controller RNG seed           [0, 2^31]
 #pragma once
 
 #include <cstdint>
@@ -67,7 +67,7 @@ struct AdaptConfig {
   std::optional<int> cae_epochs;
   /// Pseudo-label unlabeled buffered samples via CAE latent nearest-centroid
   /// (arXiv 2311.12840) instead of dropping them. Env: WM_ADAPT_PSEUDO_LABELS
-  /// (0/1), default true.
+  /// (boolean), default true.
   std::optional<bool> use_pseudo_labels;
   /// Lifetime cap on stage-2 retrains (a runaway-drift fuse; recalibrations
   /// are not capped). Env: WM_ADAPT_MAX_RETRAINS, default 8.
@@ -76,7 +76,8 @@ struct AdaptConfig {
   /// Env: WM_ADAPT_SEED, default 17.
   std::optional<std::uint32_t> seed;
 
-  /// The fully resolved view: every knob a concrete value.
+  /// The fully resolved view: every knob a concrete value, initialised to
+  /// its default.
   struct Resolved {
     std::size_t buffer_capacity = 1024;
     std::size_t min_samples = 64;

@@ -95,8 +95,8 @@ Dataset Augmentor::augment_class(const Dataset& class_samples, Rng& rng) const {
 
 Dataset Augmentor::augment_dataset(const Dataset& training, Rng& rng) const {
   Dataset merged = training;
-  // Collect the classes that actually need augmentation first so the
-  // parallel path can fork one child rng per class in a fixed order.
+  // Collect the classes that actually need augmentation first so each can
+  // fork its own child rng in a fixed order.
   std::vector<Dataset> classes;
   for (DefectType type : all_defect_types()) {
     if (type == DefectType::kNone) continue;  // paper augments defects only
@@ -109,17 +109,10 @@ Dataset Augmentor::augment_dataset(const Dataset& training, Rng& rng) const {
   }
   if (classes.empty()) return merged;
 
-  if (ThreadPool::global().worker_count() == 0) {
-    // Serial path draws from the caller's rng directly — the exact
-    // pre-threading sequence, so WM_THREADS=1 reproduces historical runs.
-    for (const Dataset& cls : classes) merged.append(augment_class(cls, rng));
-    return merged;
-  }
-
-  // Parallel path: each class trains its own CAE and synthesises from its
-  // own forked rng, then results are appended in class order. The output is
-  // deterministic for a given seed (fork order is fixed) but draws a
-  // different stream than the serial path.
+  // Each class trains its own CAE and synthesises from its own forked rng,
+  // then results are appended in class order. Every pool size, one thread
+  // included (parallel_for then runs inline), draws the same streams, so
+  // the output depends on the seed alone.
   std::vector<Rng> rngs;
   rngs.reserve(classes.size());
   for (std::size_t i = 0; i < classes.size(); ++i) rngs.push_back(rng.fork());

@@ -44,7 +44,9 @@ class Augmentor {
 
   /// Applies augment_class to every *defect* class (None is left alone, as
   /// in the paper) whose count is below target_per_class and returns the
-  /// merged training set (originals + synthetics).
+  /// merged training set (originals + synthetics). Each class draws from
+  /// its own rng.fork(), taken in class order, so the result depends on
+  /// the seed alone, never on the thread count.
   Dataset augment_dataset(const Dataset& training, Rng& rng) const;
 
   const AugmentOptions& options() const { return opts_; }

@@ -1,8 +1,9 @@
 #include "eval/experiments.hpp"
 
-#include <cstdlib>
+#include <algorithm>
+#include <limits>
 
-#include "common/config.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -13,17 +14,20 @@ namespace wm::eval {
 ExperimentConfig ExperimentConfig::from_env() {
   ExperimentConfig config;
   const double scale = bench_scale();
-  Config env;
-  config.map_size = env.get_int("map_size", config.map_size);
-  config.data_scale = env.get_double("data_scale", config.data_scale * scale);
+  config.data_scale *= scale;
   config.augment_target =
-      env.get_int("augment_target",
-                  std::max(20, static_cast<int>(config.augment_target * scale)));
-  config.trainer.epochs = env.get_int("epochs", 12);
-  config.trainer.lambda = env.get_double("lambda", config.trainer.lambda);
-  config.trainer.batch_size = env.get_int("batch_size", config.trainer.batch_size);
-  config.seed = static_cast<std::uint64_t>(env.get_int("seed", 2020));
-  config.augment = env.get_bool("augment", config.augment);
+      std::max(20, static_cast<int>(config.augment_target * scale));
+  overlay(config.map_size, std::nullopt, "WM_MAP_SIZE", 8, 256);
+  overlay(config.data_scale, std::nullopt, "WM_DATA_SCALE", 1e-4, 10.0);
+  overlay(config.augment_target, std::nullopt, "WM_AUGMENT_TARGET", 1,
+          100'000);
+  overlay(config.trainer.epochs, std::nullopt, "WM_EPOCHS", 1, 10'000);
+  overlay(config.trainer.lambda, std::nullopt, "WM_LAMBDA", 0.0, 1e6);
+  overlay(config.trainer.batch_size, std::nullopt, "WM_BATCH_SIZE", 1, 65'536);
+  overlay(config.seed, std::nullopt, "WM_SEED", 0,
+          std::numeric_limits<std::int64_t>::max());
+  overlay(config.augment, std::nullopt, "WM_AUGMENT");
+  overlay(config.net.use_batchnorm, std::nullopt, "WM_BATCHNORM");
   return config;
 }
 
@@ -33,10 +37,6 @@ void apply_config(const ExperimentConfig& in, ExperimentConfig& out) {
   out = in;
   out.net.map_size = in.map_size;
   out.net.num_classes = kNumDefectTypes;
-  // BatchNorm is this reproduction's concession to the reduced epoch budget
-  // (DESIGN.md §1); WM_BATCHNORM=0 restores the paper's exact Table I trunk.
-  Config env;
-  out.net.use_batchnorm = env.get_bool("batchnorm", true);
   out.augmentation.target_per_class = in.augment_target;
   out.augmentation.synthetic_weight = in.synthetic_weight;
   out.augmentation.cae.map_size = in.map_size;

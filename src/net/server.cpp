@@ -9,7 +9,6 @@
 #include <chrono>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
@@ -62,7 +61,7 @@ Server::Server(serve::InferenceEngine& engine, const ServerOptions& opts)
       latency_hist_(metrics_.histogram("wm_net_request_latency_us",
                                        obs::Histogram::latency_bounds_us(),
                                        "us",
-                                       "receipt-to-response-written latency")),
+                                       "receipt-to-response-write latency")),
       parse_hist_(metrics_.histogram("wm_stage_server_parse_us",
                                      obs::Histogram::latency_bounds_us(), "us",
                                      "frame decode + engine submit time")),
@@ -111,20 +110,6 @@ std::uint64_t Server::responses_sent() const {
 }
 std::uint64_t Server::shed() const { return shed_total_.value(); }
 std::uint64_t Server::timeouts() const { return timeout_total_.value(); }
-
-std::optional<int> Server::port_from_env() {
-  if (const auto port = env_int("WM_SERVE_PORT", 1, 65535)) {
-    return static_cast<int>(*port);
-  }
-  return std::nullopt;
-}
-
-std::optional<int> Server::backlog_from_env() {
-  if (const auto backlog = env_int("WM_SERVE_BACKLOG", 1, 4096)) {
-    return static_cast<int>(*backlog);
-  }
-  return std::nullopt;
-}
 
 void Server::accept_loop() {
   while (!stopping_.load()) {
@@ -363,20 +348,23 @@ bool Server::send_response(Conn& c, const Pending& p, Status status,
     resp.timing.compute_us = sat_us(t.done_ns - t.formed_ns);
   }
   const std::vector<std::uint8_t> bytes = encode_response(resp);
-  if (!write_all(c.fd, bytes.data(), bytes.size())) return false;
+  // Publish before writing: once the bytes are out the client may assert
+  // on the counter or the exported spans, so they must already be there.
   responses_total_.inc();
-  const std::int64_t done_ns = obs::trace_clock_ns();
-  write_hist_.record(sat_us(done_ns - write_start_ns));
   latency_hist_.record(std::chrono::duration_cast<std::chrono::microseconds>(
                            Clock::now() - p.received)
                            .count());
   if (p.trace.active()) {
     // Whole-hop span emitted retroactively (so TIMEOUT/MALFORMED close it
-    // too), with a flow step tying it into the request's arrow chain.
-    obs::trace_span_at("server.request", p.received_ns, done_ns,
+    // too), ending where the write starts, with a flow step tying it into
+    // the request's arrow chain.
+    obs::trace_span_at("server.request", p.received_ns, write_start_ns,
                        p.trace.trace_id);
-    obs::trace_flow('t', p.trace.trace_id, (p.received_ns + done_ns) / 2);
+    obs::trace_flow('t', p.trace.trace_id,
+                    (p.received_ns + write_start_ns) / 2);
   }
+  if (!write_all(c.fd, bytes.data(), bytes.size())) return false;
+  write_hist_.record(sat_us(obs::trace_clock_ns() - write_start_ns));
   return true;
 }
 

@@ -32,7 +32,7 @@
 // engine's registry): wm_net_connections / wm_net_connections_total,
 // wm_net_inflight, wm_net_requests_total, wm_net_responses_total,
 // wm_net_shed_total, wm_net_timeout_total, wm_net_malformed_total, and the
-// wm_net_request_latency_us histogram (receipt to response written); each
+// wm_net_request_latency_us histogram (receipt to response write start); each
 // request decode+submit runs under a "net.request" trace span. Drift
 // monitoring needs no extra wiring: remote traffic flows through the
 // engine, so an EngineOptions::monitor sees every remote prediction.
@@ -55,7 +55,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,7 +71,7 @@ struct ServerOptions {
   int port = 0;
   /// Listen address; the default accepts only loopback connections.
   std::string bind_address = "127.0.0.1";
-  /// Kernel accept backlog (WM_SERVE_BACKLOG overrides via backlog_from_env).
+  /// Kernel accept backlog (serve::ServerConfig overlays WM_SERVE_BACKLOG).
   int backlog = 64;
   /// Connection-handling worker threads.
   int workers = 2;
@@ -114,7 +113,10 @@ class Server {
   /// Well-formed requests read off sockets so far (including ones answered
   /// TIMEOUT/OVERLOADED).
   std::uint64_t requests_received() const;
-  /// Responses written so far (every received request ends up here).
+  /// Responses counted so far (every received request ends up here). A
+  /// response is counted, with its latency and its "server.request" span,
+  /// just before its bytes are written, so a client that has read a reply
+  /// always finds it counted. A write that then fails still counts.
   std::uint64_t responses_sent() const;
   /// Requests answered OVERLOADED because the engine queue was full.
   std::uint64_t shed() const;
@@ -125,11 +127,6 @@ class Server {
 
   /// The registry holding the wm_net_* instruments.
   obs::Registry& metrics_registry() const { return metrics_; }
-
-  /// WM_SERVE_PORT / WM_SERVE_BACKLOG, hardened through common/env.hpp
-  /// (warn + nullopt on malformed/out-of-range values, like WM_HTTP_PORT).
-  static std::optional<int> port_from_env();
-  static std::optional<int> backlog_from_env();
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -1,8 +1,8 @@
 #include "obs/build_info.hpp"
 
-#include <thread>
+#include <string>
 
-#include "common/env.hpp"
+#include "common/threadpool.hpp"
 #include "obs/metrics.hpp"
 
 namespace wm::obs {
@@ -24,11 +24,7 @@ const char* build_isa() {
 }
 
 int build_threads() {
-  if (const auto threads = env_int("WM_THREADS", 1, 1 << 16)) {
-    return static_cast<int>(*threads);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return static_cast<int>(ThreadPool::global().worker_count()) + 1;
 }
 
 void register_build_info(Registry& registry) {

@@ -19,8 +19,8 @@ inline constexpr const char kBuildVersion[] = "0.8.0";
 /// ("avx512vnni", "avx512", "avx2", "avx", or "scalar").
 const char* build_isa();
 
-/// Effective worker-thread budget: WM_THREADS if set, else hardware
-/// concurrency.
+/// Compute threads of the global pool, caller included: WM_THREADS when
+/// set, else one per hardware core (ThreadPool::default_worker_count).
 int build_threads();
 
 /// Registers the `wm_build_info{isa=...,threads=...,version=...} 1` info

@@ -92,8 +92,7 @@ class Histogram {
   const std::vector<std::int64_t>& bounds() const { return bounds_; }
   const std::string& unit() const { return unit_; }
 
-  /// 1-2-5 decades from 50us to 5s: the serving-latency scheme
-  /// (serve::LatencyHistogram before it was folded into this class).
+  /// 1-2-5 decades from 50us to 5s: the serving-latency scheme.
   static std::vector<std::int64_t> latency_bounds_us();
   /// Powers of two 1..512, for batch sizes and queue depths.
   static std::vector<std::int64_t> size_bounds();

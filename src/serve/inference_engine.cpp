@@ -31,10 +31,10 @@ std::string EngineStats::to_string() const {
   os.precision(2);
   os << std::fixed << mean_batch_size() << ", full " << full_flushes
      << ", timer " << timer_flushes << ")\n";
-  os << "latency:   mean " << static_cast<std::int64_t>(latency.mean_us())
-     << " us, p50 <= " << latency.quantile_us(0.50) << " us, p95 <= "
-     << latency.quantile_us(0.95) << " us, p99 <= "
-     << latency.quantile_us(0.99) << " us\n";
+  os << "latency:   mean " << static_cast<std::int64_t>(latency.mean())
+     << " us, p50 <= " << latency.quantile(0.50) << " us, p95 <= "
+     << latency.quantile(0.95) << " us, p99 <= " << latency.quantile(0.99)
+     << " us\n";
   os << latency.to_string();
   return os.str();
 }
@@ -161,7 +161,7 @@ std::size_t InferenceEngine::queue_depth() const {
 EngineStats InferenceEngine::stats() const {
   // The batcher updates all instruments while holding mutex_, so reading
   // them under the same lock yields a consistent snapshot (e.g. requests
-  // always equals latency.count()).
+  // always equals latency.count).
   std::lock_guard<std::mutex> lock(mutex_);
   EngineStats s;
   s.requests = requests_total_.value();
@@ -170,7 +170,7 @@ EngineStats InferenceEngine::stats() const {
   s.full_flushes = full_flushes_total_.value();
   s.timer_flushes = timer_flushes_total_.value();
   s.shed = shed_total_.value();
-  static_cast<obs::HistogramSnapshot&>(s.latency) = latency_hist_.snapshot();
+  s.latency = latency_hist_.snapshot();
   return s;
 }
 

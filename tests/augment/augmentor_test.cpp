@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/threadpool.hpp"
 #include "wafermap/synth/generator.hpp"
 
 namespace wm::augment {
@@ -125,6 +126,34 @@ TEST(AugmentorTest, DeterministicGivenSeed) {
   ASSERT_EQ(oa.size(), ob.size());
   for (std::size_t i = 0; i < oa.size(); ++i) {
     EXPECT_EQ(oa[i].map, ob[i].map);
+  }
+}
+
+/// Every pool size forks the same per-class rngs, so one thread (where
+/// parallel_for runs inline) and four give bit-identical synthetic maps.
+TEST(AugmentorTest, AugmentDatasetBitIdenticalAcrossThreadCounts) {
+  Rng data_rng(12);
+  synth::DatasetSpec spec;
+  spec.map_size = 16;
+  for (DefectType t : {DefectType::kDonut, DefectType::kScratch,
+                       DefectType::kEdgeRing}) {
+    spec.class_counts[static_cast<std::size_t>(t)] = 3;
+  }
+  const Dataset train = synth::generate_dataset(spec, data_rng);
+  const Augmentor aug(fast_options(9));
+  const auto run = [&](std::size_t threads) {
+    ThreadPool::configure_global(threads);
+    Rng rng(2020);
+    return aug.augment_dataset(train, rng);
+  };
+  const Dataset serial = run(1);
+  const Dataset parallel = run(4);
+  ThreadPool::configure_global(0);
+  ASSERT_EQ(serial.size(), parallel.size());
+  ASSERT_GT(serial.size(), train.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].map, parallel[i].map) << "sample " << i;
+    EXPECT_EQ(serial[i].label, parallel[i].label) << "sample " << i;
   }
 }
 

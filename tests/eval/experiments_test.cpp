@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "common/error.hpp"
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "selective/trainer.hpp"
 
@@ -16,7 +20,8 @@ ExperimentConfig tiny_config() {
   config.trainer.epochs = 2;
   config.trainer.batch_size = 16;
   config.net = {.map_size = 16, .num_classes = 9, .conv1_filters = 8,
-                .conv2_filters = 8, .conv3_filters = 8, .fc_units = 32};
+                .conv2_filters = 8, .conv3_filters = 8, .fc_units = 32,
+                .use_batchnorm = true};
   return config;
 }
 
@@ -96,6 +101,41 @@ TEST(ExperimentsTest, FromEnvRespectsOverrides) {
   EXPECT_EQ(config.trainer.epochs, 3);
   ::unsetenv("WM_MAP_SIZE");
   ::unsetenv("WM_EPOCHS");
+}
+
+TEST(ExperimentsTest, FromEnvRejectsMalformedEpochs) {
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::Warn);
+  ::setenv("WM_EPOCHS", "3x", 1);
+  testing::internal::CaptureStderr();
+  const ExperimentConfig config = ExperimentConfig::from_env();
+  const std::string warnings = testing::internal::GetCapturedStderr();
+  ::unsetenv("WM_EPOCHS");
+  set_log_level(saved);
+  EXPECT_EQ(config.trainer.epochs, 12);
+  EXPECT_NE(warnings.find("WM_EPOCHS='3x'"), std::string::npos) << warnings;
+}
+
+TEST(ExperimentsTest, FromEnvResolvesBatchNorm) {
+  ::unsetenv("WM_BATCHNORM");
+  EXPECT_TRUE(ExperimentConfig::from_env().net.use_batchnorm);
+  EXPECT_TRUE(ExperimentConfig{}.net.use_batchnorm);
+  ::setenv("WM_BATCHNORM", "0", 1);
+  EXPECT_FALSE(ExperimentConfig::from_env().net.use_batchnorm);
+  ::unsetenv("WM_BATCHNORM");
+}
+
+/// prepare_data and train_selective_model take the config as given: a
+/// caller's BatchNorm choice is not overwritten from the environment.
+TEST(ExperimentsTest, CallerBatchNormSettingSurvives) {
+  ExperimentConfig config = tiny_config();
+  config.net.use_batchnorm = false;
+  std::array<int, kNumDefectTypes> counts{};
+  counts.fill(2);
+  const ExperimentData data = prepare_data(config, counts, counts);
+  Rng rng(3);
+  const auto net = train_selective_model(config, data.train_aug, 0.5, rng);
+  EXPECT_FALSE(net->options().use_batchnorm);
 }
 
 }  // namespace

@@ -377,27 +377,6 @@ TEST(NetServerTest, MetricsLandInTheEngineRegistry) {
   EXPECT_NE(text.find("wm_serve_requests_total 1"), std::string::npos);
 }
 
-TEST(NetServerTest, EnvKnobsAreRangeChecked) {
-  ::setenv("WM_SERVE_PORT", "12345", 1);
-  ASSERT_TRUE(Server::port_from_env().has_value());
-  EXPECT_EQ(*Server::port_from_env(), 12345);
-
-  ::setenv("WM_SERVE_PORT", "70000", 1);  // out of range: warn + fallback
-  EXPECT_FALSE(Server::port_from_env().has_value());
-  ::setenv("WM_SERVE_PORT", "not-a-port", 1);
-  EXPECT_FALSE(Server::port_from_env().has_value());
-  ::unsetenv("WM_SERVE_PORT");
-  EXPECT_FALSE(Server::port_from_env().has_value());
-
-  ::setenv("WM_SERVE_BACKLOG", "128", 1);
-  ASSERT_TRUE(Server::backlog_from_env().has_value());
-  EXPECT_EQ(*Server::backlog_from_env(), 128);
-  ::setenv("WM_SERVE_BACKLOG", "-3", 1);
-  EXPECT_FALSE(Server::backlog_from_env().has_value());
-  ::unsetenv("WM_SERVE_BACKLOG");
-  EXPECT_FALSE(Server::backlog_from_env().has_value());
-}
-
 TEST(NetSocketUtilTest, WakePipeWakesAndDrains) {
   WakePipe pipe;
   pipe.wake();

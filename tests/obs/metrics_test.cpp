@@ -100,6 +100,25 @@ TEST(HistogramTest, QuantileGeometricInterpolationAccuracy) {
   }
 }
 
+/// The engine's EngineStats::latency is a snapshot of a latency_bounds_us
+/// histogram; its quantiles and mean come straight from HistogramSnapshot.
+TEST(LatencyHistogramTest, QuantilesAndMean) {
+  Histogram hist(Histogram::latency_bounds_us(), "us");
+  HistogramSnapshot h = hist.snapshot();
+  EXPECT_EQ(h.quantile(0.5), 0);
+  EXPECT_EQ(h.count, 0u);
+  for (int i = 0; i < 90; ++i) hist.record(80);     // -> bucket <= 100us
+  for (int i = 0; i < 10; ++i) hist.record(40'000); // -> bucket <= 50ms
+  h = hist.snapshot();
+  EXPECT_EQ(h.count, 100u);
+  EXPECT_DOUBLE_EQ(h.mean(), (90.0 * 80 + 10.0 * 40'000) / 100.0);
+  // Geometric interpolation inside the log buckets (see
+  // HistogramSnapshot::quantile): 50*2^(5/9) ~= 73, 20000*sqrt(2.5) ~= 31623.
+  EXPECT_EQ(h.quantile(0.50), 73);
+  EXPECT_EQ(h.quantile(0.95), 31'623);
+  EXPECT_EQ(h.quantile(1.0), 40'000);  // capped at the observed max
+}
+
 TEST(HistogramTest, RejectsBadBounds) {
   EXPECT_THROW(Histogram({}), InvalidArgument);
   EXPECT_THROW(Histogram({10, 5}), InvalidArgument);   // not ascending

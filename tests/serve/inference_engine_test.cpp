@@ -141,7 +141,7 @@ TEST(InferenceEngineTest, FlushesOnTimerForPartialBatch) {
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.full_flushes, 0u);  // 64 was never reached
   EXPECT_GE(stats.timer_flushes, 1u);
-  EXPECT_EQ(stats.latency.count(), 3u);
+  EXPECT_EQ(stats.latency.count, 3u);
 }
 
 TEST(InferenceEngineTest, ShutdownDrainsQueuedRequests) {
@@ -283,9 +283,9 @@ TEST(InferenceEngineTest, StatsSnapshotAndTextDump) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.requests, 9u);
   EXPECT_EQ(stats.abstained, 9u);
-  EXPECT_EQ(stats.latency.count(), 9u);
-  EXPECT_LE(stats.latency.quantile_us(0.50), stats.latency.quantile_us(0.95));
-  EXPECT_LE(stats.latency.quantile_us(0.95), stats.latency.quantile_us(0.99));
+  EXPECT_EQ(stats.latency.count, 9u);
+  EXPECT_LE(stats.latency.quantile(0.50), stats.latency.quantile(0.95));
+  EXPECT_LE(stats.latency.quantile(0.95), stats.latency.quantile(0.99));
   const std::string dump = stats.to_string();
   EXPECT_NE(dump.find("requests:"), std::string::npos);
   EXPECT_NE(dump.find("batches:"), std::string::npos);
@@ -298,26 +298,6 @@ TEST(InferenceEngineTest, RejectsBadOptions) {
   EXPECT_THROW(InferenceEngine(clf, {.max_batch = -2}), InvalidArgument);
   EXPECT_THROW(InferenceEngine(clf, {.max_delay_us = -1}), InvalidArgument);
   EXPECT_THROW(InferenceEngine(clf, {.queue_capacity = 0}), InvalidArgument);
-}
-
-TEST(LatencyHistogramTest, QuantilesAndMean) {
-  // LatencyHistogram is now a view over the shared obs::Histogram; record
-  // into one and snapshot it into the compat type.
-  obs::Histogram hist(obs::Histogram::latency_bounds_us(), "us");
-  LatencyHistogram h;
-  static_cast<obs::HistogramSnapshot&>(h) = hist.snapshot();
-  EXPECT_EQ(h.quantile_us(0.5), 0);
-  EXPECT_EQ(h.count(), 0u);
-  for (int i = 0; i < 90; ++i) hist.record(80);     // -> bucket <= 100us
-  for (int i = 0; i < 10; ++i) hist.record(40'000); // -> bucket <= 50ms
-  static_cast<obs::HistogramSnapshot&>(h) = hist.snapshot();
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.mean_us(), (90.0 * 80 + 10.0 * 40'000) / 100.0);
-  // Geometric interpolation inside the log buckets (see
-  // HistogramSnapshot::quantile): 50*2^(5/9) ~= 73, 20000*sqrt(2.5) ~= 31623.
-  EXPECT_EQ(h.quantile_us(0.50), 73);
-  EXPECT_EQ(h.quantile_us(0.95), 31'623);
-  EXPECT_EQ(h.quantile_us(1.0), 40'000);  // capped at the observed max
 }
 
 TEST(InferenceEngineTest, StatsTextExposesPrometheusMetrics) {
@@ -350,7 +330,7 @@ TEST(InferenceEngineTest, StatsMatchRegistryInstruments) {
   EXPECT_EQ(s.batches, reg.counter("wm_serve_batches_total", "").value());
   EXPECT_EQ(s.abstained, reg.counter("wm_serve_abstained_total", "").value());
   EXPECT_EQ(s.full_flushes + s.timer_flushes, s.batches);
-  EXPECT_EQ(s.latency.count(), s.requests);
+  EXPECT_EQ(s.latency.count, s.requests);
 }
 
 TEST(InferenceEngineTest, SharedRegistryAggregatesAcrossEngines) {

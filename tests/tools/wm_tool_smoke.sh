@@ -38,6 +38,10 @@ export WM_LOG=warn
 # Unknown command and missing flags must fail cleanly.
 if "$WM_TOOL" bogus >/dev/null 2>&1; then exit 1; fi
 if "$WM_TOOL" classify --model "$WORK/m.wsn" >/dev/null 2>&1; then exit 1; fi
+# Numeric flags parse strictly: "5x" is an error, not 5.
+if "$WM_TOOL" generate --out "$WORK/bad" --per-class 5x >/dev/null 2>&1; then
+  exit 1
+fi
 # Quantizing an already-quantized file must be rejected, not double-applied.
 if "$WM_TOOL" quantize --model "$WORK/m_int8.wsn" --out "$WORK/m2.wsn" \
   >/dev/null 2>&1; then exit 1; fi

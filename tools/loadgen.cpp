@@ -105,7 +105,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/config.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
@@ -847,14 +847,16 @@ void print_json(const std::vector<RunResult>& rows, int map_size,
 
 int get_flag(int argc, char** argv, const char* name, int fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atoi(argv[i + 1]);
+    if (std::strcmp(argv[i], name) == 0) {
+      return static_cast<int>(flag_int(name, argv[i + 1]));
+    }
   }
   return fallback;
 }
 
 double get_flag_d(int argc, char** argv, const char* name, double fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
+    if (std::strcmp(argv[i], name) == 0) return flag_double(name, argv[i + 1]);
   }
   return fallback;
 }
@@ -877,46 +879,49 @@ bool has_flag(int argc, char** argv, const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = has_flag(argc, argv, "--json");
-  const int connections = std::max(1, get_flag(argc, argv, "--connections", 4));
-  const int window = std::max(1, get_flag(argc, argv, "--window", 8));
-  const int map_size = get_flag(argc, argv, "--map", 32);
-  const int workers = std::max(1, get_flag(argc, argv, "--workers", 2));
-  const double qps = get_flag_d(argc, argv, "--qps", 0.0);
-  const std::size_t total = static_cast<std::size_t>(std::max(
-      connections * window,
-      static_cast<int>(get_flag(argc, argv, "--requests", 2000) *
-                       bench_scale())));
-  const std::string ext_host = get_flag_s(argc, argv, "--host", "127.0.0.1");
-  const int ext_port = get_flag(argc, argv, "--port", 0);
-  const int fleet = std::max(0, get_flag(argc, argv, "--fleet", 0));
-  const int fleet_window = std::max(1, get_flag(argc, argv, "--fleet-window",
-                                                2));
-  const int fleet_delay_us =
-      std::max(0, get_flag(argc, argv, "--fleet-delay-us", 12000));
-  const bool kill_replica = has_flag(argc, argv, "--kill-replica");
-  const bool swap_mid_run = has_flag(argc, argv, "--swap-mid-run");
-  const int collector_port =
-      std::max(0, get_flag(argc, argv, "--collector-port", 0));
-  const int collector_interval_ms =
-      std::max(10, get_flag(argc, argv, "--collector-interval-ms", 100));
-  const int slo_p99_us = std::max(0, get_flag(argc, argv, "--slo-p99-us", 0));
-  const int trace_sample =
-      std::max(1, get_flag(argc, argv, "--trace-sample", 16));
-  // --out-dir prefixes every file artifact (--trace-out, --slow-log) so a
-  // CI job can point the whole run at a scratch directory with one flag;
-  // absolute paths pass through untouched.
-  const std::string out_dir = get_flag_s(argc, argv, "--out-dir", "");
-  const auto in_out_dir = [&](std::string path) {
-    if (path.empty() || out_dir.empty() || path.front() == '/') return path;
-    return out_dir + "/" + path;
-  };
-  const std::string trace_out =
-      in_out_dir(get_flag_s(argc, argv, "--trace-out", ""));
-  const std::string slow_log =
-      in_out_dir(get_flag_s(argc, argv, "--slow-log", ""));
-
+  // Numeric flags parse strictly (common/env.hpp): "--connections abc" is
+  // an error naming the flag, reported below like any other failure.
   try {
+    const bool json = has_flag(argc, argv, "--json");
+    const int connections =
+        std::max(1, get_flag(argc, argv, "--connections", 4));
+    const int window = std::max(1, get_flag(argc, argv, "--window", 8));
+    const int map_size = get_flag(argc, argv, "--map", 32);
+    const int workers = std::max(1, get_flag(argc, argv, "--workers", 2));
+    const double qps = get_flag_d(argc, argv, "--qps", 0.0);
+    const std::size_t total = static_cast<std::size_t>(std::max(
+        connections * window,
+        static_cast<int>(get_flag(argc, argv, "--requests", 2000) *
+                         bench_scale())));
+    const std::string ext_host = get_flag_s(argc, argv, "--host", "127.0.0.1");
+    const int ext_port = get_flag(argc, argv, "--port", 0);
+    const int fleet = std::max(0, get_flag(argc, argv, "--fleet", 0));
+    const int fleet_window = std::max(1, get_flag(argc, argv, "--fleet-window",
+                                                  2));
+    const int fleet_delay_us =
+        std::max(0, get_flag(argc, argv, "--fleet-delay-us", 12000));
+    const bool kill_replica = has_flag(argc, argv, "--kill-replica");
+    const bool swap_mid_run = has_flag(argc, argv, "--swap-mid-run");
+    const int collector_port =
+        std::max(0, get_flag(argc, argv, "--collector-port", 0));
+    const int collector_interval_ms =
+        std::max(10, get_flag(argc, argv, "--collector-interval-ms", 100));
+    const int slo_p99_us = std::max(0, get_flag(argc, argv, "--slo-p99-us", 0));
+    const int trace_sample =
+        std::max(1, get_flag(argc, argv, "--trace-sample", 16));
+    // --out-dir prefixes every file artifact (--trace-out, --slow-log) so a
+    // CI job can point the whole run at a scratch directory with one flag;
+    // absolute paths pass through untouched.
+    const std::string out_dir = get_flag_s(argc, argv, "--out-dir", "");
+    const auto in_out_dir = [&](std::string path) {
+      if (path.empty() || out_dir.empty() || path.front() == '/') return path;
+      return out_dir + "/" + path;
+    };
+    const std::string trace_out =
+        in_out_dir(get_flag_s(argc, argv, "--trace-out", ""));
+    const std::string slow_log =
+        in_out_dir(get_flag_s(argc, argv, "--slow-log", ""));
+
     const auto stream = make_stream(map_size, 256);
 
     // The in-process stack (skipped when --port targets an external server).

@@ -115,6 +115,7 @@
 
 #include "adapt/controller.hpp"
 #include "augment/augmentor.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -170,13 +171,17 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  /// Numeric flags use the strict env.hpp parse: "--port 8x" is an error
+  /// naming the flag, not port 8.
   int get_int(const std::string& key, int fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoi(it->second);
+    return it == values_.end()
+               ? fallback
+               : static_cast<int>(flag_int("--" + key, it->second));
   }
   double get_double(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return it == values_.end() ? fallback : flag_double("--" + key, it->second);
   }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
 
@@ -442,11 +447,13 @@ int cmd_serve(const Args& args) {
       cfg.engine_options(&obs::Registry::global(), &monitor);
   if (controller != nullptr) eopts.sample_tap = &controller->buffer();
   serve::InferenceEngine engine(swappable, eopts);
-  net::Server server(engine, cfg.server_options(&obs::Registry::global()));
+  const net::ServerOptions sopts =
+      cfg.server_options(&obs::Registry::global());
+  net::Server server(engine, sopts);
   std::printf("serving %s%s on tcp://127.0.0.1:%d "
               "(map %d, tau %.2f, %d workers, version %llu)\n",
               model_path.c_str(), model->is_quantized() ? " [int8]" : "",
-              server.port(), map_size, threshold, cfg.resolve().workers,
+              server.port(), map_size, threshold, sopts.workers,
               static_cast<unsigned long long>(swappable.version()));
 
   const bool watch = args.has("model-watch");
@@ -574,7 +581,7 @@ int cmd_collect(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto int_flag = [&](const char* name) {
       WM_CHECK(i + 1 < argc, name, " needs a value");
-      return std::stoi(argv[++i]);
+      return static_cast<int>(flag_int(name, argv[++i]));
     };
     if (arg == "--port") opts.exporter_port = int_flag("--port");
     else if (arg == "--interval-ms") opts.interval_ms = int_flag("--interval-ms");
@@ -628,7 +635,7 @@ int cmd_scrape(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--delta-ms") {
       WM_CHECK(i + 1 < argc, "--delta-ms needs a value");
-      delta_ms = std::stoi(argv[++i]);
+      delta_ms = static_cast<int>(flag_int("--delta-ms", argv[++i]));
     } else if (arg.rfind("--", 0) == 0) {
       throw Error("scrape: unknown flag " + arg);
     } else {
