@@ -1,8 +1,8 @@
 // Fleet demo: the horizontal serving tier end-to-end in one process.
 //
-// Trains a small selective CNN, stands up THREE full serving replicas
-// (each: hot-swap wrapper + micro-batching engine + wm_net server +
-// /healthz exporter) and drives them through net::Router. Four scenarios,
+// Trains a small selective CNN, stands up THREE net::Replicas (each:
+// hot-swap wrapper + micro-batching engine + wm_net server + /healthz
+// exporter) and drives them through net::Router. Six scenarios,
 // each verified — CI runs this binary as the fleet smoke test and the exit
 // code is non-zero unless every one behaves:
 //
@@ -35,9 +35,9 @@
 //                 its burn-rate alarm under traffic and clears
 //                 hysteretically after traffic stops, with slo_burn /
 //                 slo_clear events verified in the run log; killing one
-//                 replica's exporter mid-flight flips its `up`, the fleet
-//                 view stays merged-correct over the survivors, and the
-//                 revived exporter is re-admitted.
+//                 replica (wire stack and exporter) flips its `up`, the
+//                 fleet view stays merged-correct over the survivors, and
+//                 the revived replica is re-admitted.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -53,10 +53,9 @@
 
 #include "common/minijson.hpp"
 #include "common/rng.hpp"
+#include "net/replica.hpp"
 #include "net/router.hpp"
-#include "net/server.hpp"
 #include "obs/collector.hpp"
-#include "obs/http_exporter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_log.hpp"
 #include "obs/trace.hpp"
@@ -116,83 +115,6 @@ bool merge_is_exact(const obs::FleetAggregate& agg) {
   return ok;
 }
 
-/// One serving replica, restartable on its original wire port. The exporter
-/// outlives down()/up() and reports 503 while the replica is dead, so the
-/// router's prober sees an honest unhealthy answer instead of a vanished
-/// endpoint.
-class Replica {
- public:
-  Replica(std::shared_ptr<const Classifier> initial, std::string name)
-      : name_(std::move(name)), swap_(std::move(initial),
-                                      {.registry = &registry_}) {
-    up();
-    wire_port_ = server_->port();
-    exporter_ = std::make_unique<obs::HttpExporter>(obs::HttpExporterOptions{
-        .registry = &registry_,
-        .healthy = [this] { return serving_; }});
-    health_port_ = exporter_->port();
-  }
-
-  ~Replica() { down(); }
-
-  void up() {
-    engine_ = std::make_unique<serve::InferenceEngine>(
-        swap_, serve::EngineOptions{.max_batch = 16, .max_delay_us = 500,
-                                    .queue_capacity = 256,
-                                    .registry = &registry_});
-    server_ = std::make_unique<net::Server>(
-        *engine_, net::ServerOptions{.port = wire_port_, .workers = 1,
-                                     .name = name_});
-    serving_ = true;
-  }
-
-  void down() {
-    serving_ = false;
-    if (server_ != nullptr) {
-      server_->stop();
-      server_.reset();
-    }
-    if (engine_ != nullptr) {
-      engine_->shutdown();
-      engine_.reset();
-    }
-  }
-
-  std::vector<SelectivePrediction> swap_to(
-      std::shared_ptr<const Classifier> candidate,
-      std::span<const WaferMap> canaries, const std::string& label) {
-    return swap_.swap_to(std::move(candidate), canaries, label);
-  }
-
-  /// Scenario 6 only: kill / rebind just the observability exporter. From
-  /// the fleet collector's viewpoint this is a vanished scrape target (a
-  /// crashed process) — distinct from down(), whose surviving exporter
-  /// answers the router's prober with an honest 503.
-  void exporter_kill() { exporter_.reset(); }
-  void exporter_restart() {
-    exporter_ = std::make_unique<obs::HttpExporter>(obs::HttpExporterOptions{
-        .port = health_port_,
-        .registry = &registry_,
-        .healthy = [this] { return serving_; }});
-  }
-
-  int wire_port() const { return wire_port_; }
-  int health_port() const { return health_port_; }
-  std::uint64_t version() const { return swap_.version(); }
-  const obs::Registry& registry() const { return registry_; }
-
- private:
-  const std::string name_;
-  obs::Registry registry_;
-  serve::SwappableClassifier swap_;
-  int wire_port_ = 0;
-  int health_port_ = 0;
-  bool serving_ = false;
-  std::unique_ptr<serve::InferenceEngine> engine_;
-  std::unique_ptr<net::Server> server_;
-  std::unique_ptr<obs::HttpExporter> exporter_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -236,12 +158,15 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < pool.size(); ++i) traffic.push_back(pool[i].map);
   const std::vector<WaferMap> canaries(traffic.begin(), traffic.begin() + 6);
 
-  std::vector<std::unique_ptr<Replica>> replicas;
+  std::vector<std::unique_ptr<net::Replica>> replicas;
   for (int i = 0; i < 3; ++i) {
-    replicas.push_back(std::make_unique<Replica>(
+    replicas.push_back(std::make_unique<net::Replica>(
         std::shared_ptr<const Classifier>(
             load_classifier(net_model, {.threshold = tau})),
-        "replica" + std::to_string(i)));
+        serve::EngineOptions{.max_batch = 16, .max_delay_us = 500,
+                             .queue_capacity = 256},
+        net::ServerOptions{.workers = 1,
+                           .name = "replica" + std::to_string(i)}));
   }
 
   net::RouterOptions ropts;
@@ -522,13 +447,13 @@ int main(int argc, char** argv) {
                         std::string::npos,
                     "slo_clear event in the run log");
 
-    // Kill one replica's exporter: its `up` flips, and the fleet view
-    // stays exactly merged over the two survivors.
-    replicas[1]->exporter_kill();
+    // Kill one replica, exporter and all: its `up` flips, and the fleet
+    // view stays exactly merged over the two survivors.
+    replicas[1]->kill();
     collector.scrape_once();
     const obs::FleetAggregate degraded = collector.aggregate();
     all_ok &= check(degraded.targets_up == 2,
-                    "up dropped when a replica's exporter died");
+                    "up dropped when a replica's process died");
     all_ok &= check(
         !degraded.health.at(copts.targets[1]).up &&
             degraded.per_target.count(copts.targets[1]) == 0,
@@ -537,18 +462,17 @@ int main(int argc, char** argv) {
                     "survivors' fleet histogram still exactly merged");
 
     // Revive: the collector re-admits the target on the next round.
-    replicas[1]->exporter_restart();
+    replicas[1]->up();
     collector.scrape_once();
     const obs::FleetAggregate revived = collector.aggregate();
     all_ok &= check(revived.targets_up == 3 &&
                         revived.health.at(copts.targets[1]).up_transitions >=
                             3,
-                    "revived exporter re-admitted, transitions counted");
+                    "revived replica re-admitted, transitions counted");
     std::printf("  wrote %s (slo_burn/slo_clear events)\n", events_path);
   }
 
   router.close();
-  for (auto& r : replicas) r->down();
 
   if (!all_ok) {
     std::fprintf(stderr, "\nFAILED: at least one scenario misbehaved\n");

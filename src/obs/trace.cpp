@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -113,9 +112,7 @@ void append_in_order(const ThreadBuffer& b, std::vector<TraceEvent>* out) {
 namespace detail {
 
 bool trace_init_from_env() {
-  const char* env = std::getenv("WM_TRACE");
-  std::string v = env == nullptr ? "" : env;
-  const bool on = !v.empty() && v != "0" && v != "off" && v != "false";
+  const bool on = env_bool("WM_TRACE").value_or(false);
   int expected = -1;
   g_trace_state.compare_exchange_strong(expected, on ? 1 : 0);
   return g_trace_state.load(std::memory_order_relaxed) != 0;

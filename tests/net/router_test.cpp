@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "net/client.hpp"
+#include "net/dead_port.hpp"
 #include "net/server.hpp"
 #include "net/socket_util.hpp"
 #include "obs/http_exporter.hpp"
@@ -81,14 +82,6 @@ WaferMap test_map(int fails = 3, int size = 12) {
   return map;
 }
 
-/// A dead endpoint: an ephemeral port with nothing listening on it.
-int dead_port() {
-  int port = 0;
-  const int fd = listen_tcp("127.0.0.1", 0, 4, &port);
-  ::close(fd);
-  return port;
-}
-
 /// Client template with fast failure for dead endpoints.
 ClientOptions fast_client() {
   return {.connect_timeout_ms = 500,
@@ -143,7 +136,8 @@ TEST(RouterTest, PowerOfTwoPolicyAnswersEverything) {
 
 TEST(RouterTest, FailsOverFromDeadReplicaTransparently) {
   Replica live(/*marker=*/0.25f);
-  Router router({.replicas = {{.port = dead_port()},
+  const DeadPort dead;
+  Router router({.replicas = {{.port = dead.port()},
                               {.port = live.server.port()}},
                  .client = fast_client()});
 
@@ -165,7 +159,8 @@ TEST(RouterTest, FailsOverFromDeadReplicaTransparently) {
 }
 
 TEST(RouterTest, AllReplicasEjectedYieldsNoReplicaNotAHang) {
-  Router router({.replicas = {{.port = dead_port()}},
+  const DeadPort dead;
+  Router router({.replicas = {{.port = dead.port()}},
                  .blind_rejoin_ms = 60'000,  // stays ejected for the test
                  .client = fast_client()});
 
@@ -324,7 +319,8 @@ TEST(RouterTest, ProbeCountersTrackHealthzTraffic) {
 
 TEST(RouterTest, AttemptsReportFailoverDispatches) {
   Replica live;
-  Router router({.replicas = {{.port = dead_port()},
+  const DeadPort dead;
+  Router router({.replicas = {{.port = dead.port()},
                               {.port = live.server.port()}},
                  .client = fast_client()});
   // First call may land on the dead replica and fail over; attempts counts
@@ -440,7 +436,8 @@ TEST(NetClientBackoffTest, EscalatesAcrossFlakyAcceptCycles) {
 
 TEST(NetClientBackoffTest, CompletedCallResetsEscalation) {
   // Phase 1: escalate against a dead endpoint (connect refused).
-  const int port = dead_port();
+  DeadPort dead;
+  const int port = dead.port();
   Client client({.port = port,
                  .connect_timeout_ms = 500,
                  .max_connect_attempts = 3,
@@ -455,6 +452,7 @@ TEST(NetClientBackoffTest, CompletedCallResetsEscalation) {
   // leave the escalation at the initial value afterwards.
   MarkerClassifier clf;
   serve::InferenceEngine engine(clf, {.max_batch = 4, .max_delay_us = 0});
+  dead.release();
   Server server(engine, {.port = port, .workers = 1});
   const auto deadline = std::chrono::steady_clock::now() + 10s;
   CallResult r;

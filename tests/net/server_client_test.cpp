@@ -1,11 +1,13 @@
-// End-to-end wm_net behaviour over real loopback TCP: round trips,
-// pipelining, deadline enforcement, load shedding, malformed-peer handling,
-// graceful drain, client reconnect, and the WM_SERVE_* env knobs.
+// End-to-end wm_net behaviour over real loopback TCP: round trips (against
+// a fake and a real selective classifier, with drift monitoring), pipelining,
+// deadline enforcement, load shedding, malformed-peer handling, graceful
+// drain, client reconnect, and the WM_SERVE_* env knobs.
 #include "net/server.hpp"
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -20,13 +22,19 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "net/client.hpp"
+#include "net/dead_port.hpp"
 #include "net/socket_util.hpp"
 #include "net/wire.hpp"
 #include "obs/json_check.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
+#include "selective/load_classifier.hpp"
+#include "selective/selective_net.hpp"
+#include "serve/hot_swap.hpp"
 #include "serve/inference_engine.hpp"
+#include "serve/monitor.hpp"
 
 namespace wm::net {
 namespace {
@@ -113,6 +121,45 @@ TEST(NetServerTest, RoundTripMatchesClassifier) {
   EXPECT_EQ(server.requests_received(), 6u);
   EXPECT_EQ(server.responses_sent(), 6u);
   EXPECT_TRUE(client.connected());
+}
+
+TEST(NetServerTest, RealClassifierBitMatchesOverTheWireAndIsMonitored) {
+  Rng rng(17);
+  const selective::SelectiveNet net({.map_size = 16,
+                                     .conv1_filters = 4,
+                                     .conv2_filters = 4,
+                                     .conv3_filters = 4,
+                                     .fc_units = 16},
+                                    rng);
+  const auto maps = test_maps(32, 16);
+  // Threshold at the median g, so the traffic mixes selections and
+  // abstentions.
+  std::vector<float> g;
+  for (const auto& p : load_classifier(net)->predict_batch(maps)) {
+    g.push_back(p.g);
+  }
+  std::nth_element(g.begin(), g.begin() + 16, g.end());
+  const auto clf = load_classifier(net, {.threshold = g[16]});
+  const auto direct = clf->predict_batch(maps);
+
+  serve::SelectiveMonitor monitor;
+  serve::InferenceEngine engine(
+      *clf, {.max_batch = 8, .max_delay_us = 500, .monitor = &monitor});
+  Server server(engine, {.workers = 2});
+  Client client({.port = server.port()});
+
+  std::size_t selected = 0;
+  for (std::size_t i = 0; i < maps.size(); ++i) {
+    const CallResult r = client.predict(maps[i]);
+    ASSERT_EQ(r.status, Status::kOk) << "call " << i;
+    // The wire carries raw IEEE-754 bits: remote == in-process, exactly.
+    EXPECT_TRUE(serve::bit_equal(r.prediction, direct[i])) << "call " << i;
+    selected += r.prediction.selected;
+  }
+  EXPECT_GT(selected, 0u);
+  EXPECT_LT(selected, maps.size());
+  // Remote traffic flows through the engine, so its monitor saw every call.
+  EXPECT_EQ(monitor.snapshot().observations, maps.size());
 }
 
 TEST(NetServerTest, PipelinedRequestsAllAnswered) {
@@ -335,12 +382,8 @@ TEST(NetClientTest, ReconnectsWithBackoffAfterServerRestart) {
 }
 
 TEST(NetClientTest, NoListenerFailsWithConnectionError) {
-  // Grab an ephemeral port, then free it: nothing listens there anymore.
-  int port = 0;
-  const int fd = listen_tcp("127.0.0.1", 0, 4, &port);
-  ::close(fd);
-
-  Client client({.port = port,
+  const DeadPort dead;
+  Client client({.port = dead.port(),
                  .max_connect_attempts = 2,
                  .backoff_initial_ms = 1,
                  .backoff_max_ms = 2});

@@ -4,6 +4,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
 #include <set>
 #include <thread>
@@ -30,6 +31,22 @@ class TraceTest : public ::testing::Test {
     trace_clear();
   }
 };
+
+TEST_F(TraceTest, WmTraceParsesLikeEveryBooleanKnob) {
+  const struct {
+    const char* value;
+    bool on;
+  } cases[] = {{"no", false},  {"OFF", false},  {"yes", true},
+               {"1", true},    {"maybe", false}, {"On", true}};
+  for (const auto& c : cases) {
+    ::setenv("WM_TRACE", c.value, 1);
+    detail::g_trace_state.store(-1);  // re-read WM_TRACE on next use
+    EXPECT_EQ(trace_enabled(), c.on) << "WM_TRACE=" << c.value;
+  }
+  ::unsetenv("WM_TRACE");
+  detail::g_trace_state.store(-1);
+  EXPECT_FALSE(trace_enabled()) << "unset WM_TRACE";
+}
 
 TEST_F(TraceTest, DisabledSpansRecordNothing) {
   ASSERT_FALSE(trace_enabled());

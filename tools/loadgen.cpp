@@ -1,12 +1,14 @@
 // loadgen — load-generator harness for the wm_net remote serving stack.
 //
-// Self-contained by default: builds a small selective CNN, wraps it in a
-// serve::InferenceEngine and a net::Server on loopback inside this process,
-// then drives the server over real TCP with net::Clients. Three runs:
+// Self-contained by default: builds a small selective CNN, serves it from
+// one in-process net::Replica (registry, hot-swap wrapper, micro-batching
+// engine, net::Server and /healthz exporter on loopback — the same stack
+// fleet mode and examples/fleet_demo use), then drives the server over real
+// TCP with net::Clients. Three runs:
 //
 //   engine        in-process closed-loop baseline — the same offered
-//                 concurrency hammers InferenceEngine::predict directly
-//                 (no sockets), giving the ceiling the wire can be
+//                 concurrency hammers the replica's InferenceEngine::predict
+//                 directly (no sockets), giving the ceiling the wire can be
 //                 compared against;
 //   remote-closed closed loop over TCP: C connections, each keeping a
 //                 pipelined window of W async calls in flight;
@@ -16,14 +18,17 @@
 //                 up in the latency tail instead of silently throttling
 //                 the generator (no coordinated omission).
 //
+// Every closed-loop run, remote or fleet, goes through one driver
+// (run_closed) over a predict_async callee: a net::Client per connection,
+// or one shared net::Router.
+//
 // The headline metric is remote_vs_engine_ratio: remote closed-loop
 // throughput over the in-process baseline at identical concurrency.
 // tools/run_benchmarks.sh captures `loadgen --json` as BENCH_net.json and
 // tools/bench_compare.py gates that ratio against the checked-in baseline.
 //
-// Fleet mode (--fleet M) additionally stands up M full serving replicas
-// in-process (each: own registry, hot-swap wrapper, micro-batching engine,
-// TCP server, /healthz exporter) and drives them through net::Router:
+// Fleet mode (--fleet M) additionally stands up M net::Replicas in-process
+// and drives them through net::Router:
 //
 //   fleet-single  router over replica 0 only, per-replica closed-loop
 //                 concurrency (--fleet-window in-flight calls);
@@ -43,13 +48,14 @@
 // fleet_vs_single_ratio an honest horizontal-scaling number (~M on a
 // healthy fleet) even on a small machine, at comparable p99. Chaos flags
 // exercise the failover story mid-run, during the *collected* run so the
-// collector sees it too: --kill-replica takes the last replica down at 1/3
-// progress — wire port, exporter and all, so the collector's `up` flips —
-// and restarts it at 2/3 (the router ejects, fails over, re-admits it via
-// /healthz; the collector re-marks it up); --swap-mid-run hot-swaps every
-// replica from fp32 to the int8 quantized model at 1/2 progress with
-// canary verification. Per-replica latency percentiles and eject/rejoin
-// counts land in the JSON report as "fleet_replicas".
+// collector sees it too: --kill-replica kills the last replica at 1/3
+// progress — Replica::kill(), wire port, exporter and all, so the
+// collector's `up` flips — and restarts it at 2/3 (the router ejects, fails
+// over, re-admits it via /healthz; the collector re-marks it up);
+// --swap-mid-run hot-swaps every replica from fp32 to the int8 quantized
+// model at 1/2 progress with canary verification. Per-replica latency
+// percentiles and eject/rejoin counts land in the JSON report as
+// "fleet_replicas".
 //
 // Flags:
 //   --connections N   client connections               (default 4)
@@ -99,6 +105,8 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -110,10 +118,9 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "net/client.hpp"
+#include "net/replica.hpp"
 #include "net/router.hpp"
-#include "net/server.hpp"
 #include "obs/collector.hpp"
-#include "obs/http_exporter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_log.hpp"
 #include "obs/trace.hpp"
@@ -121,7 +128,6 @@
 #include "selective/load_classifier.hpp"
 #include "selective/quant_net.hpp"
 #include "selective/selective_net.hpp"
-#include "serve/hot_swap.hpp"
 #include "serve/inference_engine.hpp"
 #include "wafermap/synth/generator.hpp"
 
@@ -213,22 +219,48 @@ std::int64_t percentile(std::vector<std::int64_t>& sorted_us, double q) {
   return sorted_us[std::min(idx, sorted_us.size() - 1)];
 }
 
-void finish(RunResult& r, std::vector<std::int64_t>& latencies) {
-  std::sort(latencies.begin(), latencies.end());
-  r.p50_us = percentile(latencies, 0.50);
-  r.p95_us = percentile(latencies, 0.95);
-  r.p99_us = percentile(latencies, 0.99);
+/// One driver thread's share of a run, merged after the threads join.
+struct Tally {
+  std::vector<std::int64_t> lat;
+  std::map<net::Status, std::size_t> statuses;
+  StageAgg stages;
+  std::vector<CallRecord> records;
+};
+
+/// Merges the per-thread tallies into `r` (status counts, latency
+/// percentiles, throughput) and, when given, into the stage and record
+/// sinks.
+void finish(RunResult& r, std::vector<Tally>& tallies,
+            StageAgg* stages = nullptr,
+            std::vector<CallRecord>* records = nullptr) {
+  std::vector<std::int64_t> all;
+  for (Tally& t : tallies) {
+    for (const auto& [status, n] : t.statuses) {
+      switch (status) {
+        case net::Status::kOk: r.ok += n; break;
+        case net::Status::kOverloaded: r.shed += n; break;
+        case net::Status::kTimeout: r.timeout += n; break;
+        default: r.errors += n; break;
+      }
+    }
+    all.insert(all.end(), t.lat.begin(), t.lat.end());
+    if (stages != nullptr) stages->merge(t.stages);
+    if (records != nullptr) {
+      records->insert(records->end(), t.records.begin(), t.records.end());
+    }
+  }
+  std::sort(all.begin(), all.end());
+  r.p50_us = percentile(all, 0.50);
+  r.p95_us = percentile(all, 0.95);
+  r.p99_us = percentile(all, 0.99);
   r.throughput_rps = r.wall_s > 0 ? static_cast<double>(r.requests) / r.wall_s
                                   : 0.0;
 }
 
-void count_status(RunResult& r, net::Status s) {
-  switch (s) {
-    case net::Status::kOk: ++r.ok; break;
-    case net::Status::kOverloaded: ++r.shed; break;
-    case net::Status::kTimeout: ++r.timeout; break;
-    default: ++r.errors; break;
-  }
+std::int64_t micros_since(Clock::time_point t) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                               t)
+      .count();
 }
 
 /// In-process ceiling: connections*window threads issue blocking
@@ -245,157 +277,152 @@ RunResult run_engine(serve::InferenceEngine& engine,
   const std::size_t per_thread = total / static_cast<std::size_t>(threads);
   r.requests = per_thread * static_cast<std::size_t>(threads);
 
-  std::vector<std::vector<std::int64_t>> lat(
-      static_cast<std::size_t>(threads));
+  std::vector<Tally> tallies(static_cast<std::size_t>(threads));
   Stopwatch watch;
   std::vector<std::thread> pool;
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
+      Tally& tally = tallies[static_cast<std::size_t>(t)];
       for (std::size_t i = 0; i < per_thread; ++i) {
         const auto& map =
             stream[(static_cast<std::size_t>(t) * per_thread + i) %
                    stream.size()];
         const Clock::time_point sent = Clock::now();
         (void)engine.predict(map);
-        lat[static_cast<std::size_t>(t)].push_back(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                Clock::now() - sent)
-                .count());
+        tally.lat.push_back(micros_since(sent));
+        ++tally.statuses[net::Status::kOk];
       }
     });
   }
   for (auto& th : pool) th.join();
   r.wall_s = watch.seconds();
-  r.ok = r.requests;
-
-  std::vector<std::int64_t> all;
-  for (auto& v : lat) all.insert(all.end(), v.begin(), v.end());
-  finish(r, all);
+  finish(r, tallies);
   return r;
 }
 
-/// One inflight closed-loop slot: send time + future + the sampled trace id
-/// (0 when the call is untraced).
-struct InflightCall {
-  Clock::time_point sent;
-  std::uint64_t trace_id = 0;
-  std::future<net::CallResult> future;
+/// Issues one async call for driver thread `thread`: a net::Client per
+/// connection, or one net::Router shared by every thread.
+using Callee = std::function<std::future<net::CallResult>(
+    int thread, const WaferMap& map, const obs::TraceContext& ctx)>;
+
+/// One closed-loop run: `threads` driver threads, each keeping `window`
+/// async calls in flight and waiting on the oldest when the window is full.
+struct ClosedLoop {
+  std::string mode;
+  int threads = 1;
+  int window = 1;
+  std::size_t total = 0;
+  /// Every Nth call of a thread carries a fresh sampled TraceContext
+  /// (0 = none).
+  int trace_sample = 0;
+  /// When non-null: the StageTiming of every OK response...
+  StageAgg* stages = nullptr;
+  /// ...and one CallRecord per call.
+  std::vector<CallRecord>* records = nullptr;
+  /// Runs on its own thread for the length of the loop, handed the count of
+  /// completed calls and the run's request count (fleet chaos).
+  std::function<void(const std::atomic<std::size_t>&, std::size_t)> alongside =
+      nullptr;
 };
 
-/// One closed-loop connection: keep `window` async calls in flight, waiting
-/// on the oldest when the window is full. trace_sample > 0 sends every Nth
-/// call with a fresh sampled TraceContext; every harvested OK response
-/// contributes its StageTiming to `stages`, and every call leaves a
-/// CallRecord in `records` when that sink is non-null.
-void closed_loop_conn(net::Client& client, const std::vector<WaferMap>& stream,
-                      std::size_t offset, std::size_t count, int window,
-                      int trace_sample, std::vector<std::int64_t>& lat,
-                      std::map<net::Status, std::size_t>& statuses,
-                      StageAgg& stages, std::vector<CallRecord>* records) {
-  std::deque<InflightCall> inflight;
-  auto drain_front = [&] {
-    InflightCall& call = inflight.front();
-    const net::CallResult res = call.future.get();
-    const std::int64_t e2e_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              call.sent)
-            .count();
-    lat.push_back(e2e_us);
-    ++statuses[res.status];
-    if (res.status == net::Status::kOk) stages.add(res.server);
-    if (records != nullptr) {
-      records->push_back(CallRecord{e2e_us, call.trace_id, res.status,
-                                    res.server, res.prediction.g,
-                                    res.prediction.selected,
-                                    res.prediction.label});
-    }
-    inflight.pop_front();
+RunResult run_closed(const ClosedLoop& loop,
+                     const std::vector<WaferMap>& stream, const Callee& call) {
+  RunResult r;
+  r.mode = loop.mode;
+  r.connections = loop.threads;
+  r.window = loop.window;
+  const std::size_t per_thread =
+      loop.total / static_cast<std::size_t>(loop.threads);
+  r.requests = per_thread * static_cast<std::size_t>(loop.threads);
+
+  /// One inflight call: send time, the sampled trace id (0 when untraced)
+  /// and the future.
+  struct Inflight {
+    Clock::time_point sent;
+    std::uint64_t trace_id = 0;
+    std::future<net::CallResult> future;
   };
-  auto harvest = [&](bool block) {
-    while (!inflight.empty()) {
-      if (!block && inflight.front().future.wait_for(std::chrono::seconds(
-                        0)) != std::future_status::ready) {
-        return;
+  std::vector<Tally> tallies(static_cast<std::size_t>(loop.threads));
+  std::atomic<std::size_t> done{0};
+
+  Stopwatch watch;
+  std::vector<std::thread> pool;
+  for (int t = 0; t < loop.threads; ++t) {
+    pool.emplace_back([&, t] {
+      Tally& tally = tallies[static_cast<std::size_t>(t)];
+      std::deque<Inflight> inflight;
+      auto drain_front = [&] {
+        Inflight& c = inflight.front();
+        const net::CallResult res = c.future.get();
+        const std::int64_t e2e_us = micros_since(c.sent);
+        tally.lat.push_back(e2e_us);
+        ++tally.statuses[res.status];
+        if (res.status == net::Status::kOk) tally.stages.add(res.server);
+        if (loop.records != nullptr) {
+          tally.records.push_back(CallRecord{
+              e2e_us, c.trace_id, res.status, res.server, res.prediction.g,
+              res.prediction.selected, res.prediction.label});
+        }
+        inflight.pop_front();
+        done.fetch_add(1, std::memory_order_relaxed);
+      };
+      for (std::size_t i = 0; i < per_thread; ++i) {
+        if (inflight.size() >= static_cast<std::size_t>(loop.window)) {
+          drain_front();
+        }
+        obs::TraceContext ctx;
+        if (loop.trace_sample > 0 &&
+            i % static_cast<std::size_t>(loop.trace_sample) == 0) {
+          ctx = obs::start_trace();
+        }
+        const Clock::time_point sent = Clock::now();
+        inflight.push_back(
+            {sent, ctx.trace_id,
+             call(t,
+                  stream[(static_cast<std::size_t>(t) * per_thread + i) %
+                         stream.size()],
+                  ctx)});
+        while (!inflight.empty() &&
+               inflight.front().future.wait_for(std::chrono::seconds(0)) ==
+                   std::future_status::ready) {
+          drain_front();
+        }
       }
-      drain_front();
-    }
-  };
-  for (std::size_t i = 0; i < count; ++i) {
-    if (inflight.size() >= static_cast<std::size_t>(window)) drain_front();
-    obs::TraceContext ctx;
-    if (trace_sample > 0 && i % static_cast<std::size_t>(trace_sample) == 0) {
-      ctx = obs::start_trace();
-    }
-    InflightCall call;
-    call.sent = Clock::now();
-    call.trace_id = ctx.trace_id;
-    call.future = client.predict_async(stream[(offset + i) % stream.size()],
-                                       /*deadline_ms=*/0, ctx);
-    inflight.push_back(std::move(call));
-    harvest(/*block=*/false);
+      while (!inflight.empty()) drain_front();
+    });
   }
-  harvest(/*block=*/true);
+  std::thread side;
+  if (loop.alongside) {
+    side = std::thread([&] { loop.alongside(done, r.requests); });
+  }
+  for (auto& th : pool) th.join();
+  r.wall_s = watch.seconds();
+  if (side.joinable()) side.join();
+  finish(r, tallies, loop.stages, loop.records);
+  return r;
 }
 
-RunResult run_remote_closed(const std::string& host, int port,
-                            const std::vector<WaferMap>& stream,
-                            int connections, int window, std::size_t total,
-                            const std::string& mode, int trace_sample,
-                            StageAgg* stages_out,
-                            std::vector<CallRecord>* records_out) {
-  RunResult r;
-  r.mode = mode;
-  r.connections = connections;
-  r.window = window;
-  const std::size_t per_conn = total / static_cast<std::size_t>(connections);
-  r.requests = per_conn * static_cast<std::size_t>(connections);
-
+std::vector<std::unique_ptr<net::Client>> connect_clients(
+    const std::string& host, int port, int connections) {
   std::vector<std::unique_ptr<net::Client>> clients;
   for (int c = 0; c < connections; ++c) {
     clients.push_back(std::make_unique<net::Client>(
         net::ClientOptions{.host = host, .port = port}));
   }
-  std::vector<std::vector<std::int64_t>> lat(
-      static_cast<std::size_t>(connections));
-  std::vector<std::map<net::Status, std::size_t>> statuses(
-      static_cast<std::size_t>(connections));
-  std::vector<StageAgg> stages(static_cast<std::size_t>(connections));
-  std::vector<std::vector<CallRecord>> records(
-      static_cast<std::size_t>(connections));
+  return clients;
+}
 
-  Stopwatch watch;
-  std::vector<std::thread> pool;
-  for (int c = 0; c < connections; ++c) {
-    pool.emplace_back([&, c] {
-      closed_loop_conn(*clients[static_cast<std::size_t>(c)], stream,
-                       static_cast<std::size_t>(c) * per_conn, per_conn,
-                       window, trace_sample, lat[static_cast<std::size_t>(c)],
-                       statuses[static_cast<std::size_t>(c)],
-                       stages[static_cast<std::size_t>(c)],
-                       records_out != nullptr
-                           ? &records[static_cast<std::size_t>(c)]
-                           : nullptr);
-    });
-  }
-  for (auto& th : pool) th.join();
-  r.wall_s = watch.seconds();
-  for (auto& m : statuses) {
-    for (const auto& [status, n] : m) {
-      for (std::size_t i = 0; i < n; ++i) count_status(r, status);
-    }
-  }
-  if (stages_out != nullptr) {
-    for (const StageAgg& s : stages) stages_out->merge(s);
-  }
-  if (records_out != nullptr) {
-    for (auto& v : records) {
-      records_out->insert(records_out->end(), v.begin(), v.end());
-    }
-  }
-  std::vector<std::int64_t> all;
-  for (auto& v : lat) all.insert(all.end(), v.begin(), v.end());
-  finish(r, all);
-  return r;
+/// The closed loop over TCP: one net::Client per driver thread.
+RunResult run_remote_closed(const std::string& host, int port,
+                            const std::vector<WaferMap>& stream,
+                            const ClosedLoop& loop) {
+  const auto clients = connect_clients(host, port, loop.threads);
+  return run_closed(loop, stream,
+                    [&](int t, const WaferMap& map,
+                        const obs::TraceContext& ctx) {
+                      return clients[static_cast<std::size_t>(t)]
+                          ->predict_async(map, /*deadline_ms=*/0, ctx);
+                    });
 }
 
 RunResult run_remote_open(const std::string& host, int port,
@@ -410,15 +437,8 @@ RunResult run_remote_open(const std::string& host, int port,
   const auto interval = std::chrono::nanoseconds(static_cast<std::int64_t>(
       1e9 * static_cast<double>(connections) / qps));
 
-  std::vector<std::unique_ptr<net::Client>> clients;
-  for (int c = 0; c < connections; ++c) {
-    clients.push_back(std::make_unique<net::Client>(
-        net::ClientOptions{.host = host, .port = port}));
-  }
-  std::vector<std::vector<std::int64_t>> lat(
-      static_cast<std::size_t>(connections));
-  std::vector<std::map<net::Status, std::size_t>> statuses(
-      static_cast<std::size_t>(connections));
+  const auto clients = connect_clients(host, port, connections);
+  std::vector<Tally> tallies(static_cast<std::size_t>(connections));
   // Per-thread wall time of the send loop (first to last send issued): the
   // achieved send rate exposes a generator that could not hold its cadence.
   std::vector<double> send_window_s(static_cast<std::size_t>(connections),
@@ -429,10 +449,15 @@ RunResult run_remote_open(const std::string& host, int port,
   for (int c = 0; c < connections; ++c) {
     pool.emplace_back([&, c] {
       auto& client = *clients[static_cast<std::size_t>(c)];
-      auto& l = lat[static_cast<std::size_t>(c)];
-      auto& st = statuses[static_cast<std::size_t>(c)];
+      Tally& tally = tallies[static_cast<std::size_t>(c)];
       std::deque<std::pair<Clock::time_point, std::future<net::CallResult>>>
           inflight;
+      auto drain_front = [&] {
+        const net::CallResult res = inflight.front().second.get();
+        tally.lat.push_back(micros_since(inflight.front().first));
+        ++tally.statuses[res.status];
+        inflight.pop_front();
+      };
       const Clock::time_point start = Clock::now();
       Clock::time_point last_send = start;
       for (std::size_t i = 0; i < per_conn; ++i) {
@@ -450,33 +475,16 @@ RunResult run_remote_open(const std::string& host, int port,
         while (!inflight.empty() &&
                inflight.front().second.wait_for(std::chrono::seconds(0)) ==
                    std::future_status::ready) {
-          const net::CallResult res = inflight.front().second.get();
-          l.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
-                          Clock::now() - inflight.front().first)
-                          .count());
-          ++st[res.status];
-          inflight.pop_front();
+          drain_front();
         }
       }
-      while (!inflight.empty()) {
-        const net::CallResult res = inflight.front().second.get();
-        l.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
-                        Clock::now() - inflight.front().first)
-                        .count());
-        ++st[res.status];
-        inflight.pop_front();
-      }
+      while (!inflight.empty()) drain_front();
       send_window_s[static_cast<std::size_t>(c)] =
           std::chrono::duration<double>(last_send - start).count();
     });
   }
   for (auto& th : pool) th.join();
   r.wall_s = watch.seconds();
-  for (auto& m : statuses) {
-    for (const auto& [status, n] : m) {
-      for (std::size_t i = 0; i < n; ++i) count_status(r, status);
-    }
-  }
   // Configured vs achieved: the longest per-thread send window bounds the
   // aggregate rate actually offered.
   const double max_window_s =
@@ -484,207 +492,63 @@ RunResult run_remote_open(const std::string& host, int port,
   r.achieved_qps = max_window_s > 0.0
                        ? static_cast<double>(r.requests) / max_window_s
                        : 0.0;
-  std::vector<std::int64_t> all;
-  for (auto& v : lat) all.insert(all.end(), v.begin(), v.end());
-  finish(r, all);
+  finish(r, tallies);
   return r;
 }
 
-/// One in-process serving replica for fleet mode: its own registry, a
-/// hot-swap wrapper, a micro-batching engine, a TCP server, and a /healthz
-/// + /metrics exporter. down()/up() model a whole-process crash + restart
-/// on the same ports: the exporter dies with the replica (the router's
-/// prober and the fleet collector both see a vanished endpoint, eject the
-/// replica, and re-admit it after up() rebinds). The registry survives the
-/// restart — like a warm-restarted process the counters resume, and a
-/// genuine reset is the collector's counter-reset rule's job to absorb.
-class FleetReplica {
- public:
-  FleetReplica(std::shared_ptr<const Classifier> initial, int max_delay_us)
-      : swap_(std::move(initial), {.registry = &registry_}),
-        max_delay_us_(max_delay_us) {
-    up();
-    wire_port_ = server_->port();
-    health_port_ = exporter_->port();
-  }
-
-  ~FleetReplica() { down(); }
-
-  FleetReplica(const FleetReplica&) = delete;
-  FleetReplica& operator=(const FleetReplica&) = delete;
-
-  /// (Re)starts the engine + server + exporter; rebinds the original wire
-  /// and health ports after the first call. The SwappableClassifier
-  /// survives restarts, so a model promoted while the replica was down
-  /// serves as soon as it is back.
-  void up() {
-    if (serving_.load()) return;
-    engine_ = std::make_unique<serve::InferenceEngine>(
-        swap_, serve::EngineOptions{.max_batch = 32,
-                                    .max_delay_us = max_delay_us_,
-                                    .queue_capacity = 256,
-                                    .registry = &registry_});
-    server_ = std::make_unique<net::Server>(
-        *engine_, net::ServerOptions{.port = wire_port_, .workers = 1});
-    exporter_ = std::make_unique<obs::HttpExporter>(obs::HttpExporterOptions{
-        .port = health_port_,
-        .registry = &registry_,
-        .healthy = [this] { return serving_.load(); }});
-    serving_.store(true);
-  }
-
-  /// Kills the replica: connections drop, in-flight calls fail over at the
-  /// router, the health/metrics exporter vanishes (the collector marks the
-  /// target down).
-  void down() {
-    serving_.store(false);
-    if (server_ != nullptr) {
-      server_->stop();
-      server_.reset();
-    }
-    if (engine_ != nullptr) {
-      engine_->shutdown();
-      engine_.reset();
-    }
-    exporter_.reset();
-  }
-
-  void swap_model(std::shared_ptr<const Classifier> candidate,
-                  std::span<const WaferMap> canaries,
-                  const std::string& label) {
-    (void)swap_.swap_to(std::move(candidate), canaries, label);
-  }
-
-  int wire_port() const { return wire_port_; }
-  int health_port() const { return health_port_; }
-  std::uint64_t model_version() const { return swap_.version(); }
-  std::uint64_t model_swaps() const { return swap_.swaps(); }
-
- private:
-  obs::Registry registry_;
-  serve::SwappableClassifier swap_;
-  int max_delay_us_;
-  int wire_port_ = 0;    // 0 only before the first up()
-  int health_port_ = 0;  // likewise
-  std::atomic<bool> serving_{false};
-  std::unique_ptr<serve::InferenceEngine> engine_;
-  std::unique_ptr<net::Server> server_;
-  std::unique_ptr<obs::HttpExporter> exporter_;
-};
-
-/// Mid-run chaos for the fleet-closed run, keyed off completed-request
-/// progress: kill the last replica at 1/3, hot-swap every replica's model at
-/// 1/2, restart the killed replica at 2/3.
+/// Mid-run chaos for the fleet-collected run, keyed off completed-request
+/// progress: kill the last replica (the whole process, exporter and all) at
+/// 1/3, hot-swap every replica's model at 1/2, restart the killed replica
+/// at 2/3.
 struct FleetChaos {
-  std::vector<std::unique_ptr<FleetReplica>>* replicas = nullptr;
+  std::vector<std::unique_ptr<net::Replica>>* replicas = nullptr;
   bool kill_replica = false;
   bool swap_mid_run = false;
-  std::shared_ptr<const Classifier> candidate;  // int8 promotion target
-  std::vector<WaferMap> canaries;
+  std::shared_ptr<const Classifier> candidate = nullptr;  // int8 target
+  std::vector<WaferMap> canaries = {};
+
+  void run(const std::atomic<std::size_t>& done, std::size_t requests) {
+    const std::size_t kill_at = requests / 3;
+    const std::size_t swap_at = requests / 2;
+    const std::size_t restart_at = 2 * requests / 3;
+    bool killed = false, swapped = false, restarted = false;
+    while (done.load() < requests) {
+      const std::size_t d = done.load();
+      if (kill_replica && !killed && d >= kill_at) {
+        replicas->back()->kill();
+        killed = true;
+      }
+      if (swap_mid_run && !swapped && d >= swap_at) {
+        for (auto& rep : *replicas) {
+          try {
+            (void)rep->swap_to(candidate, canaries, "int8");
+          } catch (const std::exception& e) {
+            std::fprintf(stderr, "loadgen: mid-run swap failed: %s\n",
+                         e.what());
+          }
+        }
+        swapped = true;
+      }
+      if (kill_replica && !restarted && d >= restart_at) {
+        replicas->back()->up();
+        restarted = true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // A fast run can drain before the restart threshold fires: never leave
+    // the fleet with a dead replica (the next run would inherit it).
+    if (killed && !restarted) replicas->back()->up();
+  }
 };
 
-/// Closed loop through the router: `threads` drivers, each keeping `window`
-/// async calls in flight — the fleet analogue of closed_loop_conn.
+/// The closed loop through a router: every driver thread shares it.
 RunResult run_fleet(net::Router& router, const std::vector<WaferMap>& stream,
-                    int threads, int window, std::size_t total,
-                    const std::string& mode, FleetChaos* chaos) {
-  RunResult r;
-  r.mode = mode;
-  r.connections = threads;
-  r.window = window;
-  const std::size_t per_thread = total / static_cast<std::size_t>(threads);
-  r.requests = per_thread * static_cast<std::size_t>(threads);
-
-  std::vector<std::vector<std::int64_t>> lat(static_cast<std::size_t>(threads));
-  std::vector<std::map<net::Status, std::size_t>> statuses(
-      static_cast<std::size_t>(threads));
-  std::atomic<std::size_t> done{0};
-
-  Stopwatch watch;
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      auto& l = lat[static_cast<std::size_t>(t)];
-      auto& st = statuses[static_cast<std::size_t>(t)];
-      std::deque<std::pair<Clock::time_point, std::future<net::CallResult>>>
-          inflight;
-      auto drain_front = [&] {
-        auto& [sent, fut] = inflight.front();
-        const net::CallResult res = fut.get();
-        l.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
-                        Clock::now() - sent)
-                        .count());
-        ++st[res.status];
-        inflight.pop_front();
-        done.fetch_add(1, std::memory_order_relaxed);
-      };
-      for (std::size_t i = 0; i < per_thread; ++i) {
-        if (inflight.size() >= static_cast<std::size_t>(window)) drain_front();
-        inflight.emplace_back(
-            Clock::now(),
-            router.predict_async(
-                stream[(static_cast<std::size_t>(t) * per_thread + i) %
-                       stream.size()]));
-        while (!inflight.empty() &&
-               inflight.front().second.wait_for(std::chrono::seconds(0)) ==
-                   std::future_status::ready) {
-          drain_front();
-        }
-      }
-      while (!inflight.empty()) drain_front();
-    });
-  }
-
-  std::thread chaos_thread;
-  if (chaos != nullptr && (chaos->kill_replica || chaos->swap_mid_run)) {
-    chaos_thread = std::thread([&, chaos] {
-      const std::size_t kill_at = r.requests / 3;
-      const std::size_t swap_at = r.requests / 2;
-      const std::size_t restart_at = 2 * r.requests / 3;
-      bool killed = false, swapped = false, restarted = false;
-      auto& replicas = *chaos->replicas;
-      while (done.load() < r.requests) {
-        const std::size_t d = done.load();
-        if (chaos->kill_replica && !killed && d >= kill_at) {
-          replicas.back()->down();
-          killed = true;
-        }
-        if (chaos->swap_mid_run && !swapped && d >= swap_at) {
-          for (auto& rep : replicas) {
-            try {
-              rep->swap_model(chaos->candidate, chaos->canaries, "int8");
-            } catch (const std::exception& e) {
-              std::fprintf(stderr, "loadgen: mid-run swap failed: %s\n",
-                           e.what());
-            }
-          }
-          swapped = true;
-        }
-        if (chaos->kill_replica && !restarted && d >= restart_at) {
-          replicas.back()->up();
-          restarted = true;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      // A fast run can drain before the restart threshold fires: never leave
-      // the fleet with a dead replica (the next run would inherit it).
-      if (killed && !restarted) replicas.back()->up();
-    });
-  }
-
-  for (auto& th : pool) th.join();
-  r.wall_s = watch.seconds();
-  if (chaos_thread.joinable()) chaos_thread.join();
-
-  for (auto& m : statuses) {
-    for (const auto& [status, n] : m) {
-      for (std::size_t i = 0; i < n; ++i) count_status(r, status);
-    }
-  }
-  std::vector<std::int64_t> all;
-  for (auto& v : lat) all.insert(all.end(), v.begin(), v.end());
-  finish(r, all);
-  return r;
+                    const ClosedLoop& loop) {
+  return run_closed(loop, stream,
+                    [&](int, const WaferMap& map,
+                        const obs::TraceContext& ctx) {
+                      return router.predict_async(map, /*deadline_ms=*/0, ctx);
+                    });
 }
 
 /// Fleet headline block for the JSON report.
@@ -924,11 +788,11 @@ int main(int argc, char** argv) {
 
     const auto stream = make_stream(map_size, 256);
 
-    // The in-process stack (skipped when --port targets an external server).
+    // The in-process replica (skipped when --port targets an external
+    // server).
     std::unique_ptr<selective::SelectiveNet> net_model;
-    std::unique_ptr<LoadedClassifier> classifier;
-    std::unique_ptr<serve::InferenceEngine> engine;
-    std::unique_ptr<net::Server> server;
+    std::unique_ptr<net::Replica> local;
+    const std::string host = ext_port == 0 ? "127.0.0.1" : ext_host;
     int port = ext_port;
     if (ext_port == 0) {
       Rng rng(7);
@@ -937,18 +801,18 @@ int main(int argc, char** argv) {
                                          .num_classes = kNumDefectTypes,
                                          .use_batchnorm = true},
           rng);
-      classifier = load_classifier(*net_model, {.threshold = 0.5f});
-      engine = std::make_unique<serve::InferenceEngine>(
-          *classifier,
+      std::shared_ptr<LoadedClassifier> classifier =
+          load_classifier(*net_model, {.threshold = 0.5f});
+      classifier->predict_one(stream[0]);  // warm up allocators and the pool
+      local = std::make_unique<net::Replica>(
+          classifier,
           serve::EngineOptions{
               .max_batch = std::max(8, connections * window),
               .max_delay_us = 1000,
               .queue_capacity =
-                  static_cast<std::size_t>(4 * connections * window)});
-      server = std::make_unique<net::Server>(
-          *engine, net::ServerOptions{.workers = workers});
-      port = server->port();
-      classifier->predict_one(stream[0]);  // warm up allocators and the pool
+                  static_cast<std::size_t>(4 * connections * window)},
+          net::ServerOptions{.workers = workers});
+      port = local->wire_port();
     }
 
     if (!json) {
@@ -961,18 +825,22 @@ int main(int argc, char** argv) {
 
     std::vector<RunResult> rows;
     double engine_rps = 0.0;
-    if (engine != nullptr) {
-      rows.push_back(run_engine(*engine, stream, connections, window, total));
+    if (local != nullptr) {
+      rows.push_back(
+          run_engine(local->engine(), stream, connections, window, total));
       engine_rps = rows.back().throughput_rps;
       if (!json) print_row(rows.back());
     }
 
     StageAgg stages;
     std::vector<CallRecord> records;
-    rows.push_back(run_remote_closed(
-        ext_port == 0 ? "127.0.0.1" : ext_host, port, stream, connections,
-        window, total, "remote-closed", /*trace_sample=*/0, &stages,
-        slow_log.empty() ? nullptr : &records));
+    ClosedLoop remote{.mode = "remote-closed",
+                      .threads = connections,
+                      .window = window,
+                      .total = total,
+                      .stages = &stages,
+                      .records = slow_log.empty() ? nullptr : &records};
+    rows.push_back(run_remote_closed(host, port, stream, remote));
     const double remote_rps = rows.back().throughput_rps;
     if (!json) print_row(rows.back());
 
@@ -981,13 +849,12 @@ int main(int argc, char** argv) {
     // ratio against the untraced run above is what bench_compare gates
     // (>= 0.98 means the tracing path costs <= ~2%).
     double tracing_ratio = 0.0;
-    if (ext_port == 0) {
+    if (local != nullptr) {
       obs::set_trace_enabled(true);
       obs::set_trace_process_name("loadgen");
-      rows.push_back(run_remote_closed("127.0.0.1", port, stream, connections,
-                                       window, total, "remote-traced",
-                                       trace_sample, &stages,
-                                       slow_log.empty() ? nullptr : &records));
+      remote.mode = "remote-traced";
+      remote.trace_sample = trace_sample;
+      rows.push_back(run_remote_closed(host, port, stream, remote));
       tracing_ratio = remote_rps > 0.0
                           ? rows.back().throughput_rps / remote_rps
                           : 0.0;
@@ -999,17 +866,14 @@ int main(int argc, char** argv) {
     if (!slow_log.empty()) write_slow_log(slow_log, std::move(records));
 
     if (qps > 0.0) {
-      rows.push_back(run_remote_open(ext_port == 0 ? "127.0.0.1" : ext_host,
-                                     port, stream, connections, qps, total));
+      rows.push_back(
+          run_remote_open(host, port, stream, connections, qps, total));
       if (!json) print_row(rows.back());
     }
 
     // The single-server runs are done; free its stack before standing up
     // the fleet so the replicas have the machine to themselves.
-    if (server != nullptr) server->stop();
-    if (engine != nullptr) engine->shutdown();
-    server.reset();
-    engine.reset();
+    local.reset();
 
     FleetReport freport;
     if (fleet > 0 && ext_port != 0) {
@@ -1031,37 +895,45 @@ int main(int argc, char** argv) {
         chaos.canaries = std::vector<WaferMap>(stream.begin(),
                                                stream.begin() + 4);
       }
-      std::vector<std::unique_ptr<FleetReplica>> replicas;
+      std::vector<std::unique_ptr<net::Replica>> replicas;
       for (int i = 0; i < fleet; ++i) {
-        replicas.push_back(std::make_unique<FleetReplica>(
+        replicas.push_back(std::make_unique<net::Replica>(
             std::shared_ptr<const Classifier>(load_classifier(*net_model)),
-            fleet_delay_us));
+            serve::EngineOptions{.max_batch = 32,
+                                 .max_delay_us = fleet_delay_us,
+                                 .queue_capacity = 256},
+            net::ServerOptions{.workers = 1}));
       }
       chaos.replicas = &replicas;
+      // A router over the first n replicas.
+      const auto route_over = [&](int n) {
+        net::RouterOptions ropts;
+        for (int i = 0; i < n; ++i) {
+          ropts.replicas.push_back({.port = replicas[i]->wire_port(),
+                                    .health_port = replicas[i]->health_port()});
+        }
+        return ropts;
+      };
+      ClosedLoop loop{.mode = "fleet-single",
+                      .threads = 1,
+                      .window = fleet_window,
+                      .total = total};
 
       // Baseline: the router in front of one replica at the per-replica
       // closed-loop concurrency...
-      net::RouterOptions sopts;
-      sopts.replicas = {{.port = replicas[0]->wire_port(),
-                         .health_port = replicas[0]->health_port()}};
       {
-        net::Router single(sopts);
-        rows.push_back(run_fleet(single, stream, 1, fleet_window, total,
-                                 "fleet-single", nullptr));
+        net::Router single(route_over(1));
+        rows.push_back(run_fleet(single, stream, loop));
         freport.single_rps = rows.back().throughput_rps;
         if (!json) print_row(rows.back());
       }
 
       // ...then the whole fleet at M x that offered load, uncollected —
       // the denominator of the collector-overhead headline.
-      net::RouterOptions fopts;
-      for (auto& rep : replicas) {
-        fopts.replicas.push_back({.port = rep->wire_port(),
-                                  .health_port = rep->health_port()});
-      }
-      net::Router frouter(fopts);
-      rows.push_back(run_fleet(frouter, stream, fleet, fleet_window, total,
-                               "fleet-closed", nullptr));
+      net::Router frouter(route_over(fleet));
+      loop.mode = "fleet-closed";
+      loop.threads = fleet;
+      rows.push_back(run_fleet(frouter, stream, loop));
       freport.closed_rps = rows.back().throughput_rps;
       if (!json) print_row(rows.back());
 
@@ -1096,8 +968,14 @@ int main(int argc, char** argv) {
         copts.exporter_port = collector_port;
         obs::Collector collector(copts);
 
-        rows.push_back(run_fleet(frouter, stream, fleet, fleet_window, total,
-                                 "fleet-collected", &chaos));
+        loop.mode = "fleet-collected";
+        if (chaos.kill_replica || chaos.swap_mid_run) {
+          loop.alongside = [&](const std::atomic<std::size_t>& done,
+                               std::size_t requests) {
+            chaos.run(done, requests);
+          };
+        }
+        rows.push_back(run_fleet(frouter, stream, loop));
         freport.collected_rps = rows.back().throughput_rps;
         if (!json) print_row(rows.back());
         freport.collector_overhead_ratio =
@@ -1139,7 +1017,7 @@ int main(int argc, char** argv) {
       freport.retries = frouter.retries();
       freport.no_replica = frouter.no_replica();
       freport.replicas = frouter.stats();
-      for (auto& rep : replicas) freport.model_swaps += rep->model_swaps();
+      for (auto& rep : replicas) freport.model_swaps += rep->swaps();
       frouter.close();
     }
 
